@@ -21,6 +21,7 @@ from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
                       track_segment)
 from . import linesolver as ls
 from .perms import Permutation
+from .tracker import TrackedPermutation, loop_options, track_polyline
 
 SPACE3 = form_space(3, 3)
 
@@ -418,36 +419,28 @@ def flex_monodromy_campaign(budget: int = 40, seed: int = 0):
 
 
 def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0,
-                    options: TrackOptions | None = None):
+                    options: TrackOptions | None = None) -> TrackedPermutation:
     """Continue the nine flexes around a loop in coefficient space.
 
     The whole loop is tracked in one random unitary frame (composition
     with the frame is linear on coefficients, so segments stay segments).
     Returns a tracker.TrackedPermutation of degree 9.
     """
-    from .tracker import TrackedPermutation
-
     rng = np.random.default_rng(frame_seed)
     frame = random_unitary(3, rng)
     frame_inv = np.linalg.inv(frame)
-    opts = options or TrackOptions(collision_tol=FLEX_DISTINCT_TOL)
     state = _state_from_points(base.points @ frame_inv.T, np.eye(3, dtype=complex))
-    telemetry = TrackTelemetry()
-    system = None
-    for a, b in zip(loop.waypoints[:-1], loop.waypoints[1:]):
-        c_a = SPACE3.compose_matrix(loop.family.raw_coeffs(a), frame)
-        c_b = SPACE3.compose_matrix(loop.family.raw_coeffs(b), frame)
-        system = FlexSystem(c_a, c_b, np.eye(3, dtype=complex))
-        state, telemetry = track_segment(system, state, opts, telemetry)
-    end_pts = np.array([normalize_point(p) for p in (system.points(state) @ frame.T)])
+    coeffs = [SPACE3.compose_matrix(loop.family.raw_coeffs(w), frame)
+              for w in loop.waypoints]
+    systems = [FlexSystem(a, b, np.eye(3, dtype=complex))
+               for a, b in zip(coeffs[:-1], coeffs[1:])]
+    state, telemetry = track_polyline(
+        systems, state, options or loop_options(FLEX_DISTINCT_TOL), TrackTelemetry())
+    end_pts = np.array([normalize_point(p) for p in (systems[-1].points(state) @ frame.T)])
     u_end = end_pts / np.linalg.norm(end_pts, axis=1, keepdims=True)
     u_base = base.points / np.linalg.norm(base.points, axis=1, keepdims=True)
     matching = ls.match_lines(u_end, u_base)
     d = ls.chordal_distance_matrix(u_end, u_end)
     np.fill_diagonal(d, np.inf)
-    return TrackedPermutation(
-        perm=Permutation(matching),
-        max_corrector_residual=telemetry.max_corrector_residual,
-        min_separation=float(d.min()),
-        loop=loop,
-    )
+    return TrackedPermutation.from_telemetry(Permutation(matching), float(d.min()),
+                                             loop, telemetry)

@@ -37,6 +37,7 @@ _VINV = np.linalg.inv(_VANDER)
 
 # Plucker coordinate order: (01, 02, 03, 12, 13, 23)
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PLUCKER_I, _PLUCKER_J = np.array(_PLUCKER_PAIRS).T
 # the symmetric meet pairing as a matrix in that order
 _MEET_FORM = np.zeros((6, 6))
 for _k, _l, _sign in ((0, 5, 1), (1, 4, -1), (2, 3, 1)):
@@ -283,6 +284,25 @@ class SheetState:
     params: np.ndarray  # (n,4) complex
 
 
+def sheet_pluckers(state: SheetState) -> np.ndarray:
+    """Unit Plucker vectors of all sheets at once, shape (n, 6).
+
+    Unlike :func:`plucker_from_basis` the phase is left free: chordal
+    distances and the Hungarian matching do not depend on it.
+    """
+    n = len(state.charts)
+    rows = np.arange(n)
+    free, dep = CHART_FREE[state.charts], CHART_DEP[state.charts]
+    basis = np.zeros((n, 2, 4), dtype=complex)
+    basis[rows, 0, free[:, 0]] = 1
+    basis[rows, 1, free[:, 1]] = 1
+    basis[rows, :, dep[:, 0]] = state.params[:, 0:2]  # a, b
+    basis[rows, :, dep[:, 1]] = state.params[:, 2:4]  # c, d
+    v1, v2 = basis[:, 0], basis[:, 1]
+    p = v1[:, _PLUCKER_I] * v2[:, _PLUCKER_J] - v1[:, _PLUCKER_J] * v2[:, _PLUCKER_I]
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+
 class LineSystem(SegmentSystem):
     """27-line chart system along c(t) = (1-t) c_from + t c_to."""
 
@@ -357,11 +377,7 @@ class LineSystem(SegmentSystem):
         return 1.0 + np.abs(state.params).max(axis=1)
 
     def collision_gap(self, state: SheetState) -> float:
-        pl = np.array([
-            plucker_from_basis(basis_from_chart(int(c), p))
-            for c, p in zip(state.charts, state.params)
-        ])
-        return min_pairwise_distance(pl)
+        return min_pairwise_distance(sheet_pluckers(state))
 
 
 def lines_from_sheets(state: SheetState) -> list[Line]:

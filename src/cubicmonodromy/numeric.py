@@ -6,8 +6,13 @@ or an affine image of family parameters), so the tracker below handles one
 batched predictor/corrector loop for a system whose residual and Jacobian
 are supplied by a callback.  The predictor is classical 4th-order
 Runge-Kutta on the Davidenko equation; the corrector is Newton to a
-relative tolerance of 1e-12, with step halving on divergence and failure
-below step 1e-14.
+relative tolerance of 1e-12.  A rejected step shrinks by the factor 0.4,
+an accepted one grows by 1.7, and the tracker fails below step 1e-14.
+
+A loop is a polyline of such segments, tracked with one step controller:
+its ``TrackTelemetry`` keeps the last proposed step in coefficient
+distance, and each segment starts from that step rescaled to its own
+length.  Only the last segment of a loop ends in a Newton polish.
 """
 
 from __future__ import annotations
@@ -174,19 +179,36 @@ class TrackOptions:
 
 @dataclass
 class TrackTelemetry:
+    """Counters of one tracked path, and the step it carries between segments.
+
+    ``step`` is the last proposed step in coefficient distance (the step
+    in t times the segment's ``length()``), None before the first segment.
+    ``min_path_separation`` is the least ``collision_gap`` over the
+    accepted steps of a collision-checked path.
+    """
+
     steps: int = 0
     rejected: int = 0
     max_condition: float = 0.0
     max_corrector_residual: float = 0.0
     escalations: int = 0
+    step: float | None = None
+    min_path_separation: float = np.inf
 
 
 class SegmentSystem:
     """Interface consumed by :func:`track_segment`.
 
     Subclasses supply residual R(z,t), Jacobian dR/dz and t-derivative
-    dR/dt for a batch of sheets, plus optional housekeeping hooks.
+    dR/dt for a batch of sheets, the coefficient difference ``c_diff`` of
+    the segment, plus optional housekeeping hooks.
     """
+
+    c_diff: np.ndarray
+
+    def length(self) -> float:
+        """Coefficient distance covered by the segment (max-norm)."""
+        return float(np.abs(self.c_diff).max())
 
     def residual(self, state, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -246,19 +268,30 @@ def _davidenko(system: SegmentSystem, state, t: float):
 
 
 def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None,
-                  telemetry: TrackTelemetry | None = None):
+                  telemetry: TrackTelemetry | None = None, polish: bool = True):
     """Track all sheets of a segment from t=0 to t=1.
 
     The batch shares one adaptive step: a corrector failure on any sheet
-    halves the step for all of them.  Raises PathTrackingError when the
-    step underflows and SheetCollisionError when two sheets merge.
+    shrinks the step for all of them.  A fresh telemetry starts the step
+    at ``opts.h_init``; one that has tracked a segment before starts it
+    from its carried ``step``, rescaled to this segment's length and
+    capped at ``opts.h_max``.  The last step is cut to end at t=1; the
+    cut does not shrink the step carried on.  A zero-length segment takes
+    no step.  With ``polish=False`` the final Newton polish at t=1 and the
+    conditioning estimate are skipped, for a segment that another segment
+    of the same path follows.  Raises PathTrackingError when the step
+    underflows and SheetCollisionError when two sheets merge.
     """
     opts = opts or TrackOptions()
     telemetry = telemetry or TrackTelemetry()
-    t = 0.0
-    h = opts.h_init
+    length = system.length()
+    if telemetry.step is None or length == 0:
+        proposal = opts.h_init
+    else:
+        proposal = min(telemetry.step / length, opts.h_max)
+    t = 0.0 if length > 0 else 1.0
     while t < 1.0:
-        h = min(h, 1.0 - t)
+        h = min(proposal, 1.0 - t)
         k1 = _davidenko(system, state, t)
         accepted = None
         if k1 is not None:
@@ -272,8 +305,8 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
                 accepted = _newton(system, pred, t + h, opts, telemetry)
         if accepted is None:
             telemetry.rejected += 1
-            h *= opts.shrink
-            if h < opts.h_min:
+            proposal = h * opts.shrink
+            if proposal < opts.h_min:
                 raise PathTrackingError(f"step size underflow at t={t:.6g}")
             continue
         state = system.normalize(accepted)
@@ -281,10 +314,14 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
         telemetry.steps += 1
         if opts.collision_tol is not None:
             gap = system.collision_gap(state)
+            telemetry.min_path_separation = min(telemetry.min_path_separation, gap)
             if gap < opts.collision_tol:
                 raise SheetCollisionError(f"sheet separation {gap:.3g} at t={t:.6g}")
-        h = min(h * opts.grow, opts.h_max)
-    # final polish at t=1
+        proposal = min(max(proposal, h * opts.grow), opts.h_max)
+    if length > 0:
+        telemetry.step = proposal * length
+    if not polish:
+        return state, telemetry
     polished = _newton(system, state, 1.0, opts, telemetry)
     if polished is None:
         raise PathTrackingError("final Newton polish failed at t=1")

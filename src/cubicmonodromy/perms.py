@@ -13,7 +13,6 @@ as a cross-check.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -882,13 +881,6 @@ def diagonal_quotient_stabilizer(g_table: Sequence[Sequence[int]]) -> PermGroup:
     return group
 
 
-def conjugate_group(group: PermGroup, by: Permutation) -> PermGroup:
-    """The conjugate subgroup by^{-1} . group . by."""
-    inv = by.inverse()
-    gens = [compose(compose(inv, g), by) for g in group.generators]
-    return generate_group(gens or [identity(group.degree)], degree=group.degree)
-
-
 def are_conjugate_subgroups(ambient: PermGroup, a: PermGroup, b: PermGroup) -> bool:
     """Search ambient for an element conjugating a onto b (exact scan)."""
     if a.order != b.order:
@@ -909,7 +901,3 @@ def are_conjugate_subgroups(ambient: PermGroup, a: PermGroup, b: PermGroup) -> b
         if not ok.any():
             return False
     return bool(ok.any())
-
-
-def group_to_json_str(group: PermGroup) -> str:
-    return json.dumps(group.to_json(), sort_keys=True)

@@ -221,11 +221,7 @@ class _SegmentWalker:
                 return _ScanProbe(t=t, min_distance=-1.0,
                                   max_condition=telemetry.max_condition)
             state = ls.sheets_from_lines(fresh.lines)
-        pl = np.array([
-            ls.plucker_from_basis(ls.basis_from_chart(int(c), p))
-            for c, p in zip(state.charts, state.params)
-        ])
-        gap = ls.min_pairwise_distance(pl)
+        gap = ls.min_pairwise_distance(ls.sheet_pluckers(state))
         if gap > 1e-3:
             self._cache[t] = state
         return _ScanProbe(t=t, min_distance=gap,

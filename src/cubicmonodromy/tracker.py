@@ -3,7 +3,8 @@
 Loops are waypoint polylines in a family's parameter space; consecutive
 waypoints are joined by straight segments (the family coefficient maps are
 affine, so these are straight segments in coefficient space too, and the
-homotopy class of the polyline is exactly what gets tracked).  Twisted
+homotopy class of the polyline is exactly what gets tracked).  Each loop
+is tracked with one step controller (see :func:`track_polyline`).  Twisted
 loops end at a parameter point whose surface is identified with the base
 surface through a projective matrix; the identification transports the
 tracked endpoint fiber back to the base fiber.
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import linesolver as ls
 from .forms import FamilySpec, ProjectiveMatrix, TwistAction
-from .numeric import TrackOptions, TrackTelemetry, track_segment
+from .numeric import SegmentSystem, TrackOptions, TrackTelemetry, track_segment
 from .perms import Permutation
 from .schlafli import SchlafliLabeling
 
@@ -106,28 +107,68 @@ class TwistedLoopSpec:
 
 @dataclass
 class TrackedPermutation:
-    """A loop's permutation with its numerical audit trail."""
+    """A loop's permutation with its numerical audit trail.
+
+    ``min_separation`` is the sheet separation of the endpoint fiber;
+    ``min_path_separation`` is the least one over the accepted steps
+    (infinite, and null in JSON, for a loop that took no step).
+    """
 
     perm: Permutation
     max_corrector_residual: float
     min_separation: float
     loop: LoopSpec | TwistedLoopSpec
+    steps: int = 0
+    rejected: int = 0
+    min_path_separation: float = math.inf
+
+    @classmethod
+    def from_telemetry(cls, perm: Permutation, min_separation: float, loop,
+                       telemetry: TrackTelemetry) -> "TrackedPermutation":
+        return cls(perm=perm, max_corrector_residual=telemetry.max_corrector_residual,
+                   min_separation=min_separation, loop=loop, steps=telemetry.steps,
+                   rejected=telemetry.rejected,
+                   min_path_separation=float(telemetry.min_path_separation))
 
     def to_json(self) -> dict:
+        path_sep = self.min_path_separation
         return {
             "perm": list(self.perm.images),
             "max_corrector_residual": self.max_corrector_residual,
             "min_separation": self.min_separation,
+            "steps": self.steps,
+            "rejected": self.rejected,
+            "min_path_separation": path_sep if math.isfinite(path_sep) else None,
             "loop": self.loop.to_json(),
         }
 
 
-def _track_polyline(family: FamilySpec, waypoints, state, options: TrackOptions,
-                    telemetry: TrackTelemetry):
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        system = ls.LineSystem(family.raw_coeffs(a), family.raw_coeffs(b))
-        state, telemetry = track_segment(system, state, options, telemetry)
+def loop_options(collision_tol: float) -> TrackOptions:
+    """Default loop options: the step is capped only by the segment end."""
+    return TrackOptions(collision_tol=collision_tol, h_max=1.0)
+
+
+def track_polyline(systems: list[SegmentSystem], state, options: TrackOptions,
+                   telemetry: TrackTelemetry):
+    """Track the sheets along consecutive segments with one step controller.
+
+    ``telemetry`` carries the step from each segment to the next, and only
+    the last segment ends in a Newton polish.
+    """
+    last = len(systems) - 1
+    for k, system in enumerate(systems):
+        state, telemetry = track_segment(system, state, options, telemetry,
+                                         polish=k == last)
     return state, telemetry
+
+
+def _track_base_fiber(family: FamilySpec, waypoints, base: ls.SolveReport,
+                      options: TrackOptions | None):
+    """The base fiber's 27 sheets continued along the waypoint polyline."""
+    coeffs = [family.raw_coeffs(w) for w in waypoints]
+    systems = [ls.LineSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
+    return track_polyline(systems, ls.sheets_from_lines(base.lines),
+                          options or loop_options(SHEET_COLLISION_TOL), TrackTelemetry())
 
 
 def _finish(family: FamilySpec, base: ls.SolveReport, state,
@@ -140,31 +181,21 @@ def _finish(family: FamilySpec, base: ls.SolveReport, state,
     state = ls.sheets_from_lines(end_lines)
     base_coeffs = family.raw_coeffs(loop.waypoints[0])
     state, _, _ = ls._polish_sheets(base_coeffs / np.abs(base_coeffs).max(), state)
-    end_pl = np.array([
-        ls.plucker_from_basis(ls.basis_from_chart(int(c), p))
-        for c, p in zip(state.charts, state.params)
-    ])
+    end_pl = ls.sheet_pluckers(state)
     # sheet i ended on base line matching[i]: that is the monodromy image
-    matching = ls.match_lines(end_pl, np.array([l.plucker for l in base.lines]))
+    matching = ls.match_lines(end_pl, base.pluckers())
     perm = Permutation(matching)
     if labeling is not None:
         perm = labeling.to_label_space(perm)
-    return TrackedPermutation(
-        perm=perm,
-        max_corrector_residual=telemetry.max_corrector_residual,
-        min_separation=float(ls.min_pairwise_distance(end_pl)),
-        loop=loop,
-    )
+    return TrackedPermutation.from_telemetry(
+        perm, ls.min_pairwise_distance(end_pl), loop, telemetry)
 
 
 def track_loop(loop: LoopSpec, base: ls.SolveReport,
                labeling: SchlafliLabeling | None = None,
                options: TrackOptions | None = None) -> TrackedPermutation:
     """Continue all sheets around a closed loop and read off the permutation."""
-    opts = options or TrackOptions(collision_tol=SHEET_COLLISION_TOL)
-    state = ls.sheets_from_lines(base.lines)
-    telemetry = TrackTelemetry()
-    state, telemetry = _track_polyline(loop.family, loop.waypoints, state, opts, telemetry)
+    state, telemetry = _track_base_fiber(loop.family, loop.waypoints, base, options)
     return _finish(loop.family, base, state, labeling, loop, telemetry)
 
 
@@ -180,10 +211,7 @@ def track_twisted_loop(spec: TwistedLoopSpec, base: ls.SolveReport,
     resid = spec.identification_residual()
     if resid >= IDENTIFICATION_TOL:
         raise LoopError(f"identification residual {resid:.3g} above tolerance")
-    opts = options or TrackOptions(collision_tol=SHEET_COLLISION_TOL)
-    state = ls.sheets_from_lines(base.lines)
-    telemetry = TrackTelemetry()
-    state, telemetry = _track_polyline(spec.family, spec.waypoints, state, opts, telemetry)
+    state, telemetry = _track_base_fiber(spec.family, spec.waypoints, base, options)
     return _finish(spec.family, base, state, labeling, spec, telemetry,
                    identification=spec.identification.entries)
 

@@ -165,6 +165,8 @@ def test_flex_monodromy_campaign():
     # generators fix no point and preserve collinearity
     triples = [frozenset(t) for t in FX.collinear_triples(report.flex_base.points)]
     for tp in report.tracked:
+        assert tp.steps > 0
+        assert FX.FLEX_DISTINCT_TOL < tp.min_path_separation < np.inf
         if tp.perm.is_identity():
             continue
         for t in triples:

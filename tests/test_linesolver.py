@@ -193,3 +193,24 @@ def test_solve_report_json():
     assert len(data["lines"]) == 27
     assert data["tolerances"]["residual"] == 1e-10
     assert data["seed"] == 5
+
+
+def test_sheet_pluckers_match_per_line_route_in_all_charts():
+    rng = np.random.default_rng(5)
+    charts = np.repeat(np.arange(6), 4)
+    params = rng.normal(size=(24, 4)) + 1j * rng.normal(size=(24, 4))
+    batched = L.sheet_pluckers(L.SheetState(charts=charts, params=params))
+    single = np.array([L.plucker_from_basis(L.basis_from_chart(int(c), p))
+                       for c, p in zip(charts, params)])
+    # equal up to the phase, which the batched route leaves free
+    phase = np.einsum("ij,ij->i", batched.conj(), single)
+    phase /= np.abs(phase)
+    assert np.abs(batched * phase[:, None] - single).max() < 1e-12
+    assert abs(L.min_pairwise_distance(batched) - L.min_pairwise_distance(single)) < 1e-12
+
+
+def test_single_segment_solve_keeps_its_step_count():
+    # a fresh telemetry starts from h_init under the 0.2 cap: the step that
+    # loops carry across waypoints does not reach single-segment solves
+    tel = L.solve_lines(F.random_cubic(np.random.default_rng(0)), seed=0).telemetry
+    assert (tel.steps, tel.rejected) == (27, 14)

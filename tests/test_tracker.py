@@ -36,6 +36,19 @@ def test_constant_loop_is_identity(s4_base):
     tp = T.track_loop(loop, base, labeling)
     assert tp.perm.is_identity()
     assert tp.min_separation > 1e-6
+    # a zero-length segment takes no step, so no separation along the path
+    assert tp.steps == 0
+    assert tp.to_json()["min_path_separation"] is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_repeated_waypoint_is_a_zero_length_segment(s4_base):
+    fam, bp, base, labeling = s4_base
+    mid = bp + 0.3j
+    loop = T.LoopSpec(family=fam, basepoint=bp, waypoints=(bp, mid, mid, bp))
+    tp = T.track_loop(loop, base, labeling)
+    assert tp.perm.is_identity()
+    assert tp.steps > 0
 
 
 def test_s4_petal_is_involution(s4_base):
@@ -68,9 +81,17 @@ def test_concatenated_loops_compose(s4_base):
 def test_waypoint_refinement_leaves_permutation_unchanged(s4_base):
     fam, bp, base, labeling = s4_base
     petal = T.petal_loops(fam, bp[0])[0]
-    coarse = T.track_loop(petal, base, labeling).perm
-    fine = T.track_loop(petal.refined(2), base, labeling).perm
-    assert coarse == fine
+    coarse = T.track_loop(petal, base, labeling)
+    fine = T.track_loop(petal.refined(2), base, labeling)
+    assert coarse.perm == fine.perm
+    # one step controller per loop: the step carries across waypoints, so
+    # the 64 short circle segments do not each restart from h_init
+    assert coarse.steps < 3 * (len(petal.waypoints) - 1)
+    assert fine.steps < 3 * (len(fine.loop.waypoints) - 1)
+    data = coarse.to_json()
+    assert data["steps"] == coarse.steps and data["rejected"] == coarse.rejected
+    # the path minimum is taken over every accepted step, the endpoint included
+    assert T.SHEET_COLLISION_TOL < data["min_path_separation"] <= coarse.min_separation + 1e-9
 
 
 def test_generic20_loop_preserves_incidence():
