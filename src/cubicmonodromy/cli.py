@@ -128,7 +128,6 @@ def cmd_campaign(args) -> int:
         loop_budget=args.budget,
         seed=args.seed,
         include_twists=args.twists,
-        include_symmetry_deck=True,
     )
     report = monodromy.run_campaign(campaign)
     _emit(report.to_json(), args.out)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, TrackTelemetry, form_space, random_unitary,
-                      track_segment)
+                      TrackOptions, form_space, random_unitary, track_segment)
 from . import linesolver as ls
 from .perms import Permutation
-from .tracker import TrackedPermutation, loop_options, track_polyline
+from .tracker import TrackedPermutation, track_polyline
 
 SPACE3 = form_space(3, 3)
 
@@ -73,18 +72,9 @@ def hesse_form(k: complex) -> PlaneCubicForm:
     })
 
 
-def _third_tensor(coeffs: np.ndarray) -> np.ndarray:
-    return SPACE3.third_derivative_tensor(coeffs)
-
-
-def hessian_form(f: PlaneCubicForm) -> PlaneCubicForm:
-    """Determinant of the matrix of second partials, again a cubic."""
-    return PlaneCubicForm(hessian_coefficients(f.coefficients))
-
-
 def hessian_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Raw (unnormalized) coefficients of det D^2 F."""
-    a = _third_tensor(np.asarray(coeffs, dtype=complex))
+    a = SPACE3.third_derivative_tensor(coeffs)
     # H(p) = det(sum_k A[:,:,k] p_k): expand over permutations into a cubic
     acc: dict[tuple[int, int, int], complex] = {}
     for sigma, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -163,9 +153,8 @@ class FlexSystem(SegmentSystem):
         self.c_to = np.asarray(c_to, dtype=complex)
         self.c_diff = self.c_to - self.c_from
         self.frame = np.asarray(frame, dtype=complex)
-        self.a_from = _third_tensor(self.c_from)
-        self.a_to = _third_tensor(self.c_to)
-        self._grad_space, self._grad_ops = SPACE3.gradient_ops()
+        self.a_from = SPACE3.third_derivative_tensor(self.c_from)
+        self.a_to = SPACE3.third_derivative_tensor(self.c_to)
 
     def coeffs(self, t: float) -> np.ndarray:
         return (1 - t) * self.c_from + t * self.c_to
@@ -224,10 +213,7 @@ class FlexSystem(SegmentSystem):
 
     def collision_gap(self, state: np.ndarray) -> float:
         pts = self.points(state)
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        d = ls.chordal_distance_matrix(pts, pts)
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
+        return ls.min_pairwise_distance(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
 def _adjugate3(m: np.ndarray) -> np.ndarray:
@@ -260,8 +246,7 @@ def _certify(form: PlaneCubicForm, points: np.ndarray) -> np.ndarray:
     return np.maximum(fres / fscale, hres / hscale)
 
 
-def solve_flexes(form: PlaneCubicForm, seed: int = 0, attempts: int = 4,
-                 options: TrackOptions | None = None) -> FlexSet:
+def solve_flexes(form: PlaneCubicForm, seed: int = 0, attempts: int = 4) -> FlexSet:
     """The nine flexes, by continuation from the Fermat plane cubic."""
     rng = np.random.default_rng(seed)
     start_form = hesse_form(0.0)
@@ -281,17 +266,15 @@ def solve_flexes(form: PlaneCubicForm, seed: int = 0, attempts: int = 4,
         system = FlexSystem(c_from, c_to, np.eye(3, dtype=complex))
         try:
             state, _ = track_segment(system, state,
-                                     options or TrackOptions(collision_tol=FLEX_DISTINCT_TOL))
+                                     TrackOptions(collision_tol=FLEX_DISTINCT_TOL))
         except (PathTrackingError, SheetCollisionError, np.linalg.LinAlgError) as exc:
             last = exc
             continue
         pts = np.array([normalize_point(p) for p in (system.points(state) @ frame.T)])
         residuals = _certify(form, pts)
-        u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        d = ls.chordal_distance_matrix(u, u)
-        np.fill_diagonal(d, np.inf)
-        if d.min() <= FLEX_DISTINCT_TOL:
-            last = FlexError(f"flexes not distinct (min distance {d.min():.3g})")
+        gap = ls.min_pairwise_distance(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        if gap <= FLEX_DISTINCT_TOL:
+            last = FlexError(f"flexes not distinct (min distance {gap:.3g})")
             continue
         if residuals.max() >= FLEX_RESIDUAL_TOL:
             last = FlexError(f"flex residual {residuals.max():.3g} above tolerance")
@@ -305,26 +288,26 @@ def solve_flexes(form: PlaneCubicForm, seed: int = 0, attempts: int = 4,
 # ---------------------------------------------------------------------------
 
 
-def collinear_triples(points: np.ndarray, tol: float = COLLINEAR_TOL) -> list[tuple[int, int, int]]:
+def collinear_triples(points: np.ndarray) -> list[tuple[int, int, int]]:
     """Index triples of collinear flexes (normalized determinant test)."""
     pts = points / np.linalg.norm(points, axis=1, keepdims=True)
     out = []
     for i, j, k in itertools.combinations(range(len(pts)), 3):
         det = np.linalg.det(np.vstack([pts[i], pts[j], pts[k]]))
-        if abs(det) < tol:
+        if abs(det) < COLLINEAR_TOL:
             out.append((i, j, k))
     return out
 
 
-def check_hesse_configuration(triples: list[tuple[int, int, int]], n: int = 9) -> None:
-    """12 lines, 4 through each point."""
+def check_hesse_configuration(triples: list[tuple[int, int, int]]) -> None:
+    """12 lines, 4 through each of the nine flexes."""
     if len(triples) != 12:
         raise FlexError(f"expected 12 collinear triples, found {len(triples)}")
-    counts = [0] * n
+    counts = [0] * 9
     for t in triples:
         for i in t:
             counts[i] += 1
-    if counts != [4] * n:
+    if counts != [4] * 9:
         raise FlexError(f"line counts per point are {counts}, expected all 4")
 
 
@@ -418,8 +401,7 @@ def flex_monodromy_campaign(budget: int = 40, seed: int = 0):
     return run_campaign(campaign)
 
 
-def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0,
-                    options: TrackOptions | None = None) -> TrackedPermutation:
+def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0) -> TrackedPermutation:
     """Continue the nine flexes around a loop in coefficient space.
 
     The whole loop is tracked in one random unitary frame (composition
@@ -434,13 +416,10 @@ def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0,
               for w in loop.waypoints]
     systems = [FlexSystem(a, b, np.eye(3, dtype=complex))
                for a, b in zip(coeffs[:-1], coeffs[1:])]
-    state, telemetry = track_polyline(
-        systems, state, options or loop_options(FLEX_DISTINCT_TOL), TrackTelemetry())
+    state, telemetry = track_polyline(systems, state)
     end_pts = np.array([normalize_point(p) for p in (systems[-1].points(state) @ frame.T)])
     u_end = end_pts / np.linalg.norm(end_pts, axis=1, keepdims=True)
     u_base = base.points / np.linalg.norm(base.points, axis=1, keepdims=True)
     matching = ls.match_lines(u_end, u_base)
-    d = ls.chordal_distance_matrix(u_end, u_end)
-    np.fill_diagonal(d, np.inf)
-    return TrackedPermutation.from_telemetry(Permutation(matching), float(d.min()),
-                                             loop, telemetry)
+    return TrackedPermutation.from_telemetry(Permutation(matching),
+                                             ls.min_pairwise_distance(u_end), loop, telemetry)

@@ -48,6 +48,7 @@ MEET_AMBIGUOUS = 1e-4
 DISTINCT_TOL = 1e-6
 RESIDUAL_TOL = 1e-10
 POLISH_TOL = 1e-12
+ESCALATE_COND = 1e10
 MATCH_GAP_MIN = 1e3
 
 
@@ -73,10 +74,6 @@ class Line:
 
     def basis(self) -> np.ndarray:
         return basis_from_chart(self.chart, self.params)
-
-    def point_at(self, s: complex, t: complex) -> np.ndarray:
-        v = self.basis()
-        return s * v[0] + t * v[1]
 
     def to_json(self) -> dict:
         return {
@@ -201,12 +198,12 @@ def min_pairwise_distance(pluckers: np.ndarray) -> float:
     return float(d.min())
 
 
-def match_lines(pa: np.ndarray, pb: np.ndarray,
-                gap_min: float = MATCH_GAP_MIN) -> np.ndarray:
+def match_lines(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Hungarian assignment a->b on chordal distance, with gap auditing.
 
     Returns m with m[i] = j meaning row i of pa matches row j of pb.
-    Raises MatchError when the best/second-best ratio drops below gap_min.
+    Raises MatchError when the best/second-best ratio drops below
+    MATCH_GAP_MIN.
     """
     d = chordal_distance_matrix(pa, pb)
     rows, cols = linear_sum_assignment(d)
@@ -215,7 +212,7 @@ def match_lines(pa: np.ndarray, pb: np.ndarray,
         m[i] = j
         others = np.delete(d[i], j)
         second = others.min() if len(others) else np.inf
-        if second < gap_min * max(d[i, j], 1e-300):
+        if second < MATCH_GAP_MIN * max(d[i, j], 1e-300):
             raise MatchError(
                 f"ambiguous match for line {i}: best {d[i, j]:.3g}, second {second:.3g}")
     return m
@@ -236,12 +233,12 @@ def intersection_point(l1: Line, l2: Line) -> np.ndarray:
     return point * (abs(point[k]) / point[k])
 
 
-def line_contains_point(line: Line, point: np.ndarray, tol: float = 1e-8) -> bool:
+def line_contains_point(line: Line, point: np.ndarray) -> bool:
     basis = line.basis()
     q, _ = np.linalg.qr(basis.conj().T)
     p = np.asarray(point, dtype=complex)
     proj = q @ (q.conj().T @ p)
-    return bool(np.linalg.norm(p - proj) <= tol * np.linalg.norm(p))
+    return bool(np.linalg.norm(p - proj) <= 1e-8 * np.linalg.norm(p))
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +407,12 @@ def transform_lines(lines: list[Line], matrix: np.ndarray) -> list[Line]:
 # ---------------------------------------------------------------------------
 
 
-def _polish_sheets(coeffs: np.ndarray, state: SheetState,
-                   tol: float = POLISH_TOL, escalate_cond: float = 1e10,
-                   ) -> tuple[SheetState, float, int]:
+def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, float, int]:
     """Newton polish all sheets at fixed coefficients.
 
     Returns (state, max relative chart residual, number of long-double
     escalations).  Sheets whose Jacobian conditioning exceeds
-    ``escalate_cond`` are refined once more in extended precision.
+    ``ESCALATE_COND`` are refined once more in extended precision.
     """
     system = LineSystem(coeffs, coeffs)
     escalations = 0
@@ -425,11 +420,11 @@ def _polish_sheets(coeffs: np.ndarray, state: SheetState,
         r, j, _ = system.res_jac_dt(state, 1.0)
         delta = np.linalg.solve(j, r[..., None])[..., 0]
         state = system.update(state, -delta)
-        if (np.abs(delta).max(axis=-1) < tol * system.param_scale(state)).all():
+        if (np.abs(delta).max(axis=-1) < POLISH_TOL * system.param_scale(state)).all():
             break
     r, j, _ = system.res_jac_dt(state, 1.0)
     conds = np.linalg.cond(j)
-    hot = np.nonzero(conds > escalate_cond)[0]
+    hot = np.nonzero(conds > ESCALATE_COND)[0]
     if len(hot):
         params = state.params.copy()
         for k in hot:
@@ -483,13 +478,12 @@ def _polish_one_longdouble(coeffs: np.ndarray, chart: int,
     return z.astype(complex)
 
 
-def certify_lines(form: CubicForm, lines: list[Line], rng: np.random.Generator,
-                  samples: int = 5) -> float:
-    """Max scale-normalized |F| over random points of every line."""
+def certify_lines(form: CubicForm, lines: list[Line], rng: np.random.Generator) -> float:
+    """Max scale-normalized |F| over five random points of every line."""
     worst = 0.0
     cnorm = np.abs(form.coefficients).max()
     for line in lines:
-        st = rng.normal(size=(samples, 2)) + 1j * rng.normal(size=(samples, 2))
+        st = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         pts = st @ line.basis()
         vals = np.abs(form.evaluate(pts))
         scales = cnorm * np.linalg.norm(pts, axis=1) ** 3
@@ -534,8 +528,7 @@ class SolveReport:
         }
 
 
-def solve_lines(form: CubicForm, seed: int = 0, attempts: int = 4,
-                options: TrackOptions | None = None) -> SolveReport:
+def solve_lines(form: CubicForm, seed: int = 0, attempts: int = 4) -> SolveReport:
     """All 27 lines of a smooth cubic surface.
 
     Homotopy from the Fermat cubic with a fresh random gamma and unitary
@@ -549,7 +542,7 @@ def solve_lines(form: CubicForm, seed: int = 0, attempts: int = 4,
         gamma = np.exp(2j * np.pi * rng.uniform())
         frame = random_unitary(4, rng)
         try:
-            lines, telemetry = _solve_in_frame(form, gamma, frame, options)
+            lines, telemetry = _solve_in_frame(form, gamma, frame)
         except (PathTrackingError, SheetCollisionError, SolveError,
                 np.linalg.LinAlgError) as exc:
             failures += 1
@@ -575,8 +568,7 @@ def solve_lines(form: CubicForm, seed: int = 0, attempts: int = 4,
     raise SolveError(f"no certified solve in {attempts} attempts: {last_error}")
 
 
-def _solve_in_frame(form: CubicForm, gamma: complex, frame: np.ndarray,
-                    options: TrackOptions | None):
+def _solve_in_frame(form: CubicForm, gamma: complex, frame: np.ndarray):
     frame_inv = np.linalg.inv(frame)
     c_start = gamma * SPACE.compose_matrix(fermat_cubic().coefficients, frame)
     c_target = SPACE.compose_matrix(form.coefficients, frame)
@@ -584,7 +576,7 @@ def _solve_in_frame(form: CubicForm, gamma: complex, frame: np.ndarray,
                    for l in fermat_start_lines()]
     state = sheets_from_lines(start_lines)
     system = LineSystem(c_start, c_target)
-    state, telemetry = track_segment(system, state, options or TrackOptions())
+    state, telemetry = track_segment(system, state, TrackOptions())
     # map back to the original coordinates and polish on the true form
     back = [line_from_basis(basis_from_chart(int(c), p) @ frame.T)
             for c, p in zip(state.charts, state.params)]

@@ -37,7 +37,6 @@ class Campaign:
     loop_budget: int = 40
     seed: int = 0
     include_twists: bool = True
-    include_symmetry_deck: bool = True
 
     def __post_init__(self):
         if self.loop_budget < 1:
@@ -138,7 +137,7 @@ def run_campaign(c: Campaign) -> MonodromyReport:
 
     deck_group = None
     deck_perms: list[Permutation] = []
-    if c.include_symmetry_deck and c.family.symmetry_generators:
+    if c.family.symmetry_generators:
         deck_perms = [symmetry_permutation(m, base.lines, labeling, form=form)
                       for m in c.family.symmetry_generators]
         deck_group = perms.generate_group(deck_perms)
@@ -407,7 +406,6 @@ def run_claim_suite(budget: int = 40, seed: int = 0,
                 loop_budget=budget,
                 seed=(seed * 1009 + idx) & 0x7FFFFFFF,
                 include_twists=claim.include_twists,
-                include_symmetry_deck=True,
             )
             reports[key] = run_campaign(campaign)
         verdicts.append(evaluate_claim(claim, reports[key]))

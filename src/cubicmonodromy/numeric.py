@@ -5,9 +5,13 @@ space (the 20 cubic-surface coefficients, the 10 plane-cubic coefficients,
 or an affine image of family parameters), so the tracker below handles one
 batched predictor/corrector loop for a system whose residual and Jacobian
 are supplied by a callback.  The predictor is classical 4th-order
-Runge-Kutta on the Davidenko equation; the corrector is Newton to a
-relative tolerance of 1e-12.  A rejected step shrinks by the factor 0.4,
-an accepted one grows by 1.7, and the tracker fails below step 1e-14.
+Runge-Kutta on the Davidenko equation; the corrector is at most four
+Newton iterations to a relative tolerance of 1e-12.  A fresh path starts
+at step 0.05; a rejected step shrinks by the factor 0.4, an accepted one
+grows by 1.7.  These are the module constants below; ``TrackOptions``
+holds only what callers set differently: the step cap (0.2 for solves,
+1.0 for loops), the step floor below which tracking fails (1e-14, or
+1e-11 in the puncture-scan walker) and the collision tolerance.
 
 A loop is a polyline of such segments, tracked with one step controller:
 its ``TrackTelemetry`` keeps the last proposed step in coefficient
@@ -165,15 +169,19 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+CORRECTOR_TOL = 1e-12
+MAX_NEWTON = 4
+H_INIT = 0.05
+GROW = 1.7
+SHRINK = 0.4
+
+
+@dataclass(frozen=True)
 class TrackOptions:
-    corrector_tol: float = 1e-12
-    max_newton: int = 4
-    h_init: float = 0.05
+    """Step floor and cap, and the sheet collision tolerance (None: unchecked)."""
+
     h_min: float = 1e-14
     h_max: float = 0.2
-    grow: float = 1.7
-    shrink: float = 0.4
     collision_tol: float | None = None
 
 
@@ -238,10 +246,9 @@ class SegmentSystem:
         return np.inf
 
 
-def _newton(system: SegmentSystem, state, t: float, opts: TrackOptions,
-            telemetry: TrackTelemetry):
+def _newton(system: SegmentSystem, state, t: float, telemetry: TrackTelemetry):
     """Newton-correct the whole batch at fixed t; returns state or None."""
-    for _ in range(opts.max_newton):
+    for _ in range(MAX_NEWTON):
         r, j, _ = system.res_jac_dt(state, t)
         try:
             delta = np.linalg.solve(j, r[..., None])[..., 0]
@@ -249,12 +256,12 @@ def _newton(system: SegmentSystem, state, t: float, opts: TrackOptions,
             return None
         state = system.update(state, -delta)
         step = np.abs(delta).max(axis=-1)
-        if (step < opts.corrector_tol * system.param_scale(state)).all():
+        if (step < CORRECTOR_TOL * system.param_scale(state)).all():
             res = np.abs(system.residual(state, t)).max(axis=-1)
             rel = res / system.scale(state, t)
             telemetry.max_corrector_residual = max(
                 telemetry.max_corrector_residual, float(rel.max()))
-            if (rel < 10 * opts.corrector_tol).all():
+            if (rel < 10 * CORRECTOR_TOL).all():
                 return state
     return None
 
@@ -273,7 +280,7 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
 
     The batch shares one adaptive step: a corrector failure on any sheet
     shrinks the step for all of them.  A fresh telemetry starts the step
-    at ``opts.h_init``; one that has tracked a segment before starts it
+    at ``H_INIT``; one that has tracked a segment before starts it
     from its carried ``step``, rescaled to this segment's length and
     capped at ``opts.h_max``.  The last step is cut to end at t=1; the
     cut does not shrink the step carried on.  A zero-length segment takes
@@ -286,7 +293,7 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
     telemetry = telemetry or TrackTelemetry()
     length = system.length()
     if telemetry.step is None or length == 0:
-        proposal = opts.h_init
+        proposal = H_INIT
     else:
         proposal = min(telemetry.step / length, opts.h_max)
     t = 0.0 if length > 0 else 1.0
@@ -302,10 +309,10 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
                 system, system.update(state, h * k3), t + h)
             if k4 is not None:
                 pred = system.update(state, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-                accepted = _newton(system, pred, t + h, opts, telemetry)
+                accepted = _newton(system, pred, t + h, telemetry)
         if accepted is None:
             telemetry.rejected += 1
-            proposal = h * opts.shrink
+            proposal = h * SHRINK
             if proposal < opts.h_min:
                 raise PathTrackingError(f"step size underflow at t={t:.6g}")
             continue
@@ -317,12 +324,12 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
             telemetry.min_path_separation = min(telemetry.min_path_separation, gap)
             if gap < opts.collision_tol:
                 raise SheetCollisionError(f"sheet separation {gap:.3g} at t={t:.6g}")
-        proposal = min(max(proposal, h * opts.grow), opts.h_max)
+        proposal = min(max(proposal, h * GROW), opts.h_max)
     if length > 0:
         telemetry.step = proposal * length
     if not polish:
         return state, telemetry
-    polished = _newton(system, state, 1.0, opts, telemetry)
+    polished = _newton(system, state, 1.0, telemetry)
     if polished is None:
         raise PathTrackingError("final Newton polish failed at t=1")
     _, j, _ = system.res_jac_dt(polished, 1.0)

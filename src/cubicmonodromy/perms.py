@@ -286,6 +286,7 @@ class PermGroup:
             None if elements is None else frozenset(r.tobytes() for r in elements)
         )
         self.order = order
+        self._fingerprint: GroupFingerprint | None = None
 
     @property
     def is_materialized(self) -> bool:
@@ -491,28 +492,35 @@ def quotient_group(group: PermGroup, normal: PermGroup) -> PermGroup:
             conj = compose(compose(g.inverse(), h), g)
             if conj not in normal:
                 raise GroupError("subgroup is not normal")
-    rows = group.element_array()
+    table = _coset_table(group, normal)
+    n_cosets = len(table[1])
+    if n_cosets * normal.order != group.order:
+        raise GroupError("coset decomposition inconsistent")
+    qgens = [_coset_image(table, g) for g in group.generators]
+    return generate_group(_reduced_from_perms(qgens, n_cosets) or [identity(n_cosets)],
+                          degree=n_cosets)
+
+
+def _coset_table(group: PermGroup, normal: PermGroup):
+    """The cosets N.g of a normal subgroup, as a pair: the coset index of
+    every element of the group, and one representative per coset."""
     nrows = normal.element_array()
     coset_of: dict[bytes, int] = {}
     reps: list[np.ndarray] = []
-    for row in rows:
-        key = row.tobytes()
-        if key in coset_of:
+    for row in group.element_array():
+        if row.tobytes() in coset_of:
             continue
-        cid = len(reps)
-        reps.append(row)
         for p in row[nrows]:  # apply n, then row: the coset N.row
-            coset_of[p.tobytes()] = cid
-    n_cosets = len(reps)
-    if n_cosets * normal.order != group.order:
-        raise GroupError("coset decomposition inconsistent")
-    qgens = []
-    for g in group.generators:
-        garr = np.array(g.images, dtype=np.int64)
-        images = [coset_of[garr[rep].tobytes()] for rep in reps]
-        qgens.append(Permutation(images))
-    return generate_group(_reduced_from_perms(qgens, n_cosets) or [identity(n_cosets)],
-                          degree=n_cosets)
+            coset_of[p.tobytes()] = len(reps)
+        reps.append(row)
+    return coset_of, reps
+
+
+def _coset_image(table, p: Permutation) -> Permutation:
+    """Image of p in the coset-action quotient, as a quotient permutation."""
+    coset_of, reps = table
+    parr = np.array(p.images, dtype=np.int64)
+    return Permutation([coset_of[parr[rep].tobytes()] for rep in reps])
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +639,22 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def fingerprint(group: PermGroup) -> GroupFingerprint:
-    hist = element_order_histogram(group)
-    abelian = all(
-        compose(a, b) == compose(b, a)
-        for i, a in enumerate(group.generators)
-        for b in group.generators[i + 1:]
-    )
-    return GroupFingerprint(
-        order=group.order,
-        center_order=center_order(group),
-        abelianization_invariants=abelian_invariants(group),
-        element_order_histogram=tuple(sorted(hist.items())),
-        is_abelian=abelian,
-    )
+    """The group's fingerprint, computed on the first call and kept on it."""
+    if group._fingerprint is None:
+        hist = element_order_histogram(group)
+        abelian = all(
+            compose(a, b) == compose(b, a)
+            for i, a in enumerate(group.generators)
+            for b in group.generators[i + 1:]
+        )
+        group._fingerprint = GroupFingerprint(
+            order=group.order,
+            center_order=center_order(group),
+            abelianization_invariants=abelian_invariants(group),
+            element_order_histogram=tuple(sorted(hist.items())),
+            is_abelian=abelian,
+        )
+    return group._fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -813,29 +824,10 @@ def split_central_extension_check(big: PermGroup, center_gen: Permutation) -> st
         ab, zbar = big, center_gen
     else:
         ab = quotient_group(big, derived)
-        zbar = _coset_image(big, derived, center_gen)
+        zbar = _coset_image(_coset_table(big, derived), center_gen)
     if _in_two_divisible_part(ab, zbar):
         return "inconclusive"
     return "split"
-
-
-def _coset_image(group: PermGroup, normal: PermGroup, p: Permutation) -> Permutation:
-    """Image of p in the coset-action quotient, as a quotient permutation."""
-    rows = group.element_array()
-    nrows = normal.element_array()
-    coset_of: dict[bytes, int] = {}
-    reps: list[np.ndarray] = []
-    for row in rows:
-        key = row.tobytes()
-        if key in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(row)
-        for pr in row[nrows]:
-            coset_of[pr.tobytes()] = cid
-    parr = np.array(p.images, dtype=np.int64)
-    images = [coset_of[parr[rep].tobytes()] for rep in reps]
-    return Permutation(images)
 
 
 def _in_two_divisible_part(ab: PermGroup, el: Permutation) -> bool:

@@ -99,12 +99,6 @@ class SchlafliLabeling:
 
     assignment: tuple[int, ...]  # slot -> label index
 
-    def label_of(self, slot: int) -> LineLabel:
-        return ALL_LABELS[self.assignment[slot]]
-
-    def slot_of(self, label_index: int) -> int:
-        return self.assignment.index(label_index)
-
     def to_label_space(self, slot_perm: Permutation) -> Permutation:
         """Transport a permutation of slots to a permutation of labels."""
         lam = self.assignment

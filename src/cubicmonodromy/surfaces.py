@@ -25,6 +25,7 @@ from .perms import Permutation
 
 ECKARDT_TOL = 1e-8
 SYMMETRY_RESIDUAL_TOL = 1e-10
+REFINE_TOL = 1e-10  # puncture estimates, in the segment parameter
 
 
 class EckardtError(RuntimeError):
@@ -75,8 +76,7 @@ def eckardt_points(lines: list[ls.Line]) -> list[tuple[np.ndarray, tuple[int, in
     return found
 
 
-def eckardt_involution(form: CubicForm, point: np.ndarray,
-                       residual_tol: float = ECKARDT_TOL) -> ProjectiveMatrix:
+def eckardt_involution(form: CubicForm, point: np.ndarray) -> ProjectiveMatrix:
     """The unique involution with fixed locus a plane plus the given point.
 
     The polar quadric B of the surface at an Eckardt point has rank at
@@ -129,7 +129,7 @@ def eckardt_involution(form: CubicForm, point: np.ndarray,
         if abs(denom) < 1e-10:
             continue
         m = np.eye(4, dtype=complex) - 2.0 * np.outer(v, phi) / denom
-        if form.invariance_residual(m) < residual_tol:
+        if form.invariance_residual(m) < ECKARDT_TOL:
             return ProjectiveMatrix(m)
     raise EckardtError("no surface-preserving involution found at the point")
 
@@ -229,13 +229,12 @@ class _SegmentWalker:
 
 
 def puncture_scan(family: FamilySpec, segment: tuple[complex, complex],
-                  samples: int = 40, seed: int = 0,
-                  refine_tol: float = 1e-10) -> list[complex]:
+                  samples: int = 40, seed: int = 0) -> list[complex]:
     """Parameter values on the segment where the line solve degenerates.
 
     Degeneration shows as a dip of the minimal pairwise Plucker distance
     (two lines colliding), a conditioning spike, or an outright tracking
-    failure.  Candidates are refined to ``refine_tol`` in the segment
+    failure.  Candidates are refined to ``REFINE_TOL`` in the segment
     parameter by bracketed minimization plus square-root-model
     extrapolation (the separation behaves like sqrt|t - t*| at a simple
     collision).
@@ -269,14 +268,13 @@ def puncture_scan(family: FamilySpec, segment: tuple[complex, complex],
             merged.append([lo, hi])
     out = []
     for lo, hi in merged:
-        t_star = _refine_dip(walker, lo, hi, refine_tol)
+        t_star = _refine_dip(walker, lo, hi)
         if t_star is not None:
             out.append(walker.param_at(t_star))
     return out
 
 
-def _refine_dip(walker: _SegmentWalker, lo: float, hi: float,
-                tol: float) -> float | None:
+def _refine_dip(walker: _SegmentWalker, lo: float, hi: float) -> float | None:
     """Golden-section narrowing plus sqrt-model extrapolation of the dip."""
 
     def d(t: float) -> float:
@@ -288,7 +286,7 @@ def _refine_dip(walker: _SegmentWalker, lo: float, hi: float,
     m2 = a + invphi * (b - a)
     d1, d2 = d(m1), d(m2)
     for _ in range(80):
-        if b - a < max(tol, 1e-13):
+        if b - a < REFINE_TOL:
             break
         # failures (-1) sort below every healthy value, pulling the
         # bracket onto the degenerate region
@@ -301,7 +299,7 @@ def _refine_dip(walker: _SegmentWalker, lo: float, hi: float,
             m2 = a + invphi * (b - a)
             d2 = d(m2)
         if b - a < 1e-5:
-            t_star = _sqrt_model_refine(walker, a, b, tol)
+            t_star = _sqrt_model_refine(walker, a, b)
             if t_star is not None:
                 return t_star
     t_star = 0.5 * (a + b)
@@ -311,8 +309,7 @@ def _refine_dip(walker: _SegmentWalker, lo: float, hi: float,
     return None
 
 
-def _sqrt_model_refine(walker: _SegmentWalker, a: float, b: float,
-                       tol: float) -> float | None:
+def _sqrt_model_refine(walker: _SegmentWalker, a: float, b: float) -> float | None:
     """Fit d ~ C sqrt|t - t*| from one side and iterate the intercept."""
     h = (b - a)
     t1, t2 = a - 8 * h, a - 3 * h
@@ -327,11 +324,11 @@ def _sqrt_model_refine(walker: _SegmentWalker, a: float, b: float,
         t_new = (t1 - r * t2) / (1 - r)
         if not np.isfinite(t_new):
             return None
-        if t_star is not None and abs(t_new - t_star) < tol:
+        if t_star is not None and abs(t_new - t_star) < REFINE_TOL:
             return float(t_new)
         t_star = t_new
         # move the probe pair closer to the estimate, staying on the left
-        t_probe = t_star - max(tol, 0.25 * abs(t_star - t2))
+        t_probe = t_star - max(REFINE_TOL, 0.25 * abs(t_star - t2))
         d_probe = walker.probe(t_probe).min_distance
         if d_probe <= 0:
             # stepped past the puncture; fall back to the last estimate

@@ -143,32 +143,29 @@ class TrackedPermutation:
         }
 
 
-def loop_options(collision_tol: float) -> TrackOptions:
-    """Default loop options: the step is capped only by the segment end."""
-    return TrackOptions(collision_tol=collision_tol, h_max=1.0)
+# every loop, of lines or of flexes: the step is capped only by the segment end
+LOOP_OPTIONS = TrackOptions(collision_tol=SHEET_COLLISION_TOL, h_max=1.0)
 
 
-def track_polyline(systems: list[SegmentSystem], state, options: TrackOptions,
-                   telemetry: TrackTelemetry):
+def track_polyline(systems: list[SegmentSystem], state):
     """Track the sheets along consecutive segments with one step controller.
 
-    ``telemetry`` carries the step from each segment to the next, and only
-    the last segment ends in a Newton polish.
+    One fresh telemetry carries the step from each segment to the next,
+    and only the last segment ends in a Newton polish.
     """
+    telemetry = TrackTelemetry()
     last = len(systems) - 1
     for k, system in enumerate(systems):
-        state, telemetry = track_segment(system, state, options, telemetry,
+        state, telemetry = track_segment(system, state, LOOP_OPTIONS, telemetry,
                                          polish=k == last)
     return state, telemetry
 
 
-def _track_base_fiber(family: FamilySpec, waypoints, base: ls.SolveReport,
-                      options: TrackOptions | None):
+def _track_base_fiber(family: FamilySpec, waypoints, base: ls.SolveReport):
     """The base fiber's 27 sheets continued along the waypoint polyline."""
     coeffs = [family.raw_coeffs(w) for w in waypoints]
     systems = [ls.LineSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
-    return track_polyline(systems, ls.sheets_from_lines(base.lines),
-                          options or loop_options(SHEET_COLLISION_TOL), TrackTelemetry())
+    return track_polyline(systems, ls.sheets_from_lines(base.lines))
 
 
 def _finish(family: FamilySpec, base: ls.SolveReport, state,
@@ -192,16 +189,14 @@ def _finish(family: FamilySpec, base: ls.SolveReport, state,
 
 
 def track_loop(loop: LoopSpec, base: ls.SolveReport,
-               labeling: SchlafliLabeling | None = None,
-               options: TrackOptions | None = None) -> TrackedPermutation:
+               labeling: SchlafliLabeling | None = None) -> TrackedPermutation:
     """Continue all sheets around a closed loop and read off the permutation."""
-    state, telemetry = _track_base_fiber(loop.family, loop.waypoints, base, options)
+    state, telemetry = _track_base_fiber(loop.family, loop.waypoints, base)
     return _finish(loop.family, base, state, labeling, loop, telemetry)
 
 
 def track_twisted_loop(spec: TwistedLoopSpec, base: ls.SolveReport,
-                       labeling: SchlafliLabeling | None = None,
-                       options: TrackOptions | None = None) -> TrackedPermutation:
+                       labeling: SchlafliLabeling | None = None) -> TrackedPermutation:
     """Track a path to the twisted image point, then identify fibers.
 
     The identification g satisfies evaluator(image) = evaluator(base) o g
@@ -211,18 +206,16 @@ def track_twisted_loop(spec: TwistedLoopSpec, base: ls.SolveReport,
     resid = spec.identification_residual()
     if resid >= IDENTIFICATION_TOL:
         raise LoopError(f"identification residual {resid:.3g} above tolerance")
-    state, telemetry = _track_base_fiber(spec.family, spec.waypoints, base, options)
+    state, telemetry = _track_base_fiber(spec.family, spec.waypoints, base)
     return _finish(spec.family, base, state, labeling, spec, telemetry,
                    identification=spec.identification.entries)
 
 
-def twisted_loop_for_action(family: FamilySpec, basepoint, action: TwistAction,
-                            via: np.ndarray | None = None) -> TwistedLoopSpec:
-    """The twisted loop basepoint -> action(basepoint), optionally via a detour."""
+def twisted_loop_for_action(family: FamilySpec, basepoint,
+                            action: TwistAction) -> TwistedLoopSpec:
+    """The twisted loop: the straight path basepoint -> action(basepoint)."""
     bp = np.atleast_1d(np.asarray(basepoint, dtype=complex))
-    image = action.param_matrix @ bp
-    waypoints = (bp, image) if via is None else (bp, np.atleast_1d(via), image)
-    return TwistedLoopSpec(family=family, waypoints=waypoints,
+    return TwistedLoopSpec(family=family, waypoints=(bp, action.param_matrix @ bp),
                            identification=action.identification, name=action.name)
 
 
@@ -233,9 +226,8 @@ def twisted_loop_for_action(family: FamilySpec, basepoint, action: TwistAction,
 
 def petal_loops(family: FamilySpec, basepoint: complex,
                 punctures: list[complex] | None = None,
-                radius: float | None = None,
-                waypoints_per_circle: int = 64) -> list[LoopSpec]:
-    """One petal per puncture: out, once around, and back.
+                radius: float | None = None) -> list[LoopSpec]:
+    """One petal per puncture: out, once around in 64 segments, and back.
 
     Default radius is 1e-2 times the distance to the nearest other
     puncture (or to the basepoint when there is only one).  Petals are
@@ -267,8 +259,8 @@ def petal_loops(family: FamilySpec, basepoint: complex,
         direction = (b - p) / abs(b - p)
         entry = p + r * direction
         pts = [np.array([b]), np.array([entry])]
-        for step in range(1, waypoints_per_circle + 1):
-            theta = 2 * np.pi * step / waypoints_per_circle
+        for step in range(1, 65):
+            theta = 2 * np.pi * step / 64
             pts.append(np.array([p + r * direction * np.exp(1j * theta)]))
         pts.append(np.array([b]))
         loop = LoopSpec(family=family, basepoint=np.array([b]),
@@ -302,15 +294,13 @@ def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * (b - a)))
 
 
-def random_polygon_loop(family: FamilySpec, basepoint, seed: int,
-                        corners: int = 2, scale: float | None = None) -> LoopSpec:
-    """A random closed polygon through fresh random parameter points."""
+def random_polygon_loop(family: FamilySpec, basepoint, seed: int) -> LoopSpec:
+    """A random closed triangle through two fresh random parameter points."""
     rng = np.random.default_rng(seed)
     bp = np.atleast_1d(np.asarray(basepoint, dtype=complex))
-    if scale is None:
-        scale = max(1.0, float(np.linalg.norm(bp)) / np.sqrt(len(bp)))
+    scale = max(1.0, float(np.linalg.norm(bp)) / np.sqrt(len(bp)))
     pts = [bp]
-    for _ in range(corners):
+    for _ in range(2):
         step = rng.normal(size=len(bp)) + 1j * rng.normal(size=len(bp))
         pts.append(bp + scale * step)
     pts.append(bp)
@@ -318,15 +308,14 @@ def random_polygon_loop(family: FamilySpec, basepoint, seed: int,
                     kind="random_polygon", detail={"seed": seed})
 
 
-def random_lasso_loop(family: FamilySpec, basepoint, seed: int,
-                      circle_points: int = 24) -> LoopSpec:
+def random_lasso_loop(family: FamilySpec, basepoint, seed: int) -> LoopSpec:
     """A loop circling a random point of a random complex parameter line.
 
     Random polygons rarely link a low-degree branch curve (a real
     codimension-2 set), so campaigns also throw lassos: go out along a
     random complex line through the basepoint, circle a random center
-    once, and come back.  Whenever the enclosed disc meets the branch
-    locus, the lasso picks up its meridians.
+    once in 24 segments, and come back.  Whenever the enclosed disc meets
+    the branch locus, the lasso picks up its meridians.
     """
     rng = np.random.default_rng(seed)
     bp = np.atleast_1d(np.asarray(basepoint, dtype=complex))
@@ -337,8 +326,8 @@ def random_lasso_loop(family: FamilySpec, basepoint, seed: int,
     radius = float(abs(center)) * rng.uniform(0.3, 0.95)
     entry = center * (1 - radius / abs(center))
     pts = [bp, bp + entry * direction]
-    for step in range(1, circle_points + 1):
-        theta = 2 * np.pi * step / circle_points
+    for step in range(1, 25):
+        theta = 2 * np.pi * step / 24
         t = center + (entry - center) * np.exp(1j * theta)
         pts.append(bp + t * direction)
     pts.append(bp + entry * direction)

@@ -1,5 +1,8 @@
 """Campaign assembly, exact-sequence reports, claim table."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -134,3 +137,24 @@ def test_generic20_basepoint_independence():
         groups.append(report.group)
     assert groups[0].order == groups[1].order == 51840
     assert P.are_conjugate_subgroups(S.weyl_e6(), groups[0], groups[1])
+
+
+# sha256 prefix of each campaign's tracked permutations, in loop order, in
+# the claim_results run (verify-all --budget 40 --seed 0).  Any moved
+# permutation, or a loop lost or gained, changes its campaign's digest.
+SEED0_PERM_DIGESTS = {
+    "C2even": "98e0992b2746064d",
+    "FlexP9": "36eb1a4b573b34ed",
+    "Generic20": "d0c8784b1cb3c8e5",
+    "S3+twists": "5c8499c7b452aa29",
+    "S3xC2+twists": "82fa7a9fc79b12d9",
+    "S4": "c707ff94357bea4e",
+}
+
+
+def test_claim_suite_permutations_are_pinned(claim_results):
+    digests = {}
+    for key, report in claim_results["reports"].items():
+        blob = json.dumps([t["perm"] for t in report["tracked"]], separators=(",", ":"))
+        digests[key] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert digests == SEED0_PERM_DIGESTS

@@ -162,6 +162,18 @@ def test_fingerprint_histogram_sums_to_order():
         assert sum(v for _, v in fp.element_order_histogram) == fp.order
 
 
+def test_fingerprint_is_kept_on_the_group(monkeypatch):
+    g = P.named_group("S4")
+    fp = P.fingerprint(g)
+
+    def no_scan(group):
+        raise AssertionError("the fingerprint was computed again")
+
+    monkeypatch.setattr(P, "element_order_histogram", no_scan)
+    assert P.fingerprint(g) is fp
+    assert g.to_json()["fingerprint"] == fp.to_json()
+
+
 def test_identity_group_histogram():
     fp = P.fingerprint(P.generate_group([], degree=5))
     assert fp.element_order_histogram == ((1, 1),)
@@ -218,6 +230,22 @@ def test_split_check_c4_inconclusive():
     c4 = P.generate_group([P.from_cycles(4, [(0, 1, 2, 3)])])
     z = P.from_cycles(4, [(0, 2), (1, 3)])
     assert P.split_central_extension_check(c4, z) == "inconclusive"
+
+
+@pytest.mark.parametrize("gens,z,verdict", [
+    # S3xC2 with its central involution: a complement exists
+    ([P.from_cycles(5, [(0, 1)]), P.from_cycles(5, [(0, 1, 2)]),
+      P.from_cycles(5, [(3, 4)])], P.from_cycles(5, [(3, 4)]), "split"),
+    # C4xS3 with the square of the C4 generator: no complement
+    ([P.from_cycles(7, [(0, 1, 2, 3)]), P.from_cycles(7, [(4, 5)]),
+      P.from_cycles(7, [(4, 5, 6)])], P.from_cycles(7, [(0, 2), (1, 3)]), "inconclusive"),
+])
+def test_split_check_through_the_abelianization(gens, z, verdict):
+    big = P.generate_group(gens)
+    derived = P.derived_subgroup(big)
+    # a nontrivial derived group without z: the check takes z's coset image
+    assert derived.order == 3 and z not in derived
+    assert P.split_central_extension_check(big, z) == verdict
 
 
 def test_split_check_go4p3_nonsplit_by_order8():
