@@ -19,7 +19,7 @@ import numpy as np
 from . import flexes as fx
 from . import linesolver as ls
 from . import monodromy, perms, schlafli, tracker
-from .forms import CubicForm, get_family
+from .forms import FAMILIES, CubicForm, get_family
 
 
 def _parse_complex(text: str) -> complex:
@@ -120,10 +120,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    family = (fx.flexp9_family() if args.family == "FlexP9"
-              else get_family(args.family))
     campaign = monodromy.Campaign(
-        family=family,
+        family=monodromy.family_for(args.family),
         basepoint=_parse_params(args.param, args.family, args.seed),
         loop_budget=args.budget,
         seed=args.seed,
@@ -187,47 +185,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "cubic surfaces and the 9 flexes of plane cubics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True):
-        if family:
-            p.add_argument("--family", default="Generic20",
-                           choices=["Generic20", "S4", "S3", "S3xC2", "C2even",
-                                    "FlexP9"])
+    def common(p, families=()):
+        if families:
+            p.add_argument("--family", default="Generic20", choices=families)
             p.add_argument("--param", nargs="*", metavar="RE,IM",
                            help="basepoint parameters as re,im pairs")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("solve", help="compute the 27 lines of a cubic surface")
-    common(p)
+    common(p, list(FAMILIES))
     p.add_argument("--coeffs", help="JSON list of 20 [re,im] pairs")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("schlafli-check",
                        help="self-check the canonical 27-line model and W(E6)")
-    common(p, family=False)
+    common(p)
     p.set_defaults(func=cmd_schlafli_check)
 
     p = sub.add_parser("track", help="track one loop and print its permutation")
-    common(p)
+    common(p, list(FAMILIES))
     p.add_argument("--petal", help="puncture re,im to encircle")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--waypoints", help="JSON list of waypoint parameter lists")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("campaign", help="run a monodromy campaign for a family")
-    common(p)
+    common(p, [*FAMILIES, "FlexP9"])
     p.add_argument("--budget", type=int, default=40)
     p.add_argument("--twists", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("verify-all", help="run the full claim suite")
-    common(p, family=False)
+    common(p)
     p.add_argument("--budget", type=int, default=40)
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("flexes", help="solve the 9 flexes or run their campaign")
-    common(p, family=False)
+    common(p)
     p.add_argument("--hesse", help="Hesse parameter k as re,im")
     p.add_argument("--coeffs", help="JSON list of 10 [re,im] pairs")
     p.add_argument("--campaign", action="store_true")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forms import FamilySpec
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
                       TrackOptions, form_space, random_unitary, track_segment)
 from . import linesolver as ls
@@ -146,25 +147,18 @@ class FlexSet:
 
 
 class FlexSystem(SegmentSystem):
-    """{F=0, det D^2 F=0} in a fixed affine frame, along c(t)."""
+    """{F=0, det D^2 F=0} along c(t), at the points (u : v : 1)."""
 
-    def __init__(self, c_from: np.ndarray, c_to: np.ndarray, frame: np.ndarray):
-        self.c_from = np.asarray(c_from, dtype=complex)
-        self.c_to = np.asarray(c_to, dtype=complex)
-        self.c_diff = self.c_to - self.c_from
-        self.frame = np.asarray(frame, dtype=complex)
+    def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
+        super().__init__(c_from, c_to)
         self.a_from = SPACE3.third_derivative_tensor(self.c_from)
         self.a_to = SPACE3.third_derivative_tensor(self.c_to)
-
-    def coeffs(self, t: float) -> np.ndarray:
-        return (1 - t) * self.c_from + t * self.c_to
 
     def tensor(self, t: float) -> np.ndarray:
         return (1 - t) * self.a_from + t * self.a_to
 
     def points(self, state: np.ndarray) -> np.ndarray:
-        uv1 = np.concatenate([state, np.ones((len(state), 1))], axis=1)
-        return uv1 @ self.frame.T
+        return np.concatenate([state, np.ones((len(state), 1))], axis=1)
 
     def residual(self, state: np.ndarray, t: float) -> np.ndarray:
         p = self.points(state)
@@ -183,15 +177,11 @@ class FlexSystem(SegmentSystem):
         m = np.einsum("ijk,nk->nij", a, p)
         hvals = np.linalg.det(m)
         adj = _adjugate3(m)
-        w0, w1 = self.frame[:, 0], self.frame[:, 1]
-        b0 = np.einsum("ijk,k->ij", a, w0)
-        b1 = np.einsum("ijk,k->ij", a, w1)
         r = np.stack([fvals, hvals], axis=-1)
         j = np.empty((len(state), 2, 2), dtype=complex)
-        j[:, 0, 0] = grads @ w0
-        j[:, 0, 1] = grads @ w1
-        j[:, 1, 0] = np.einsum("nij,ji->n", adj, b0)
-        j[:, 1, 1] = np.einsum("nij,ji->n", adj, b1)
+        j[:, 0] = grads[:, :2]
+        for k in range(2):
+            j[:, 1, k] = np.einsum("nij,ji->n", adj, a[:, :, k])
         # t-derivative: coefficient difference for F, tensor difference for H
         ft = SPACE3.evaluate(self.c_diff, p)
         da = self.a_to - self.a_from
@@ -229,11 +219,10 @@ def _adjugate3(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _state_from_points(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    q = points @ np.linalg.inv(frame).T
-    if (np.abs(q[:, 2]) < 1e-9).any():
+def _state_from_points(points: np.ndarray) -> np.ndarray:
+    if (np.abs(points[:, 2]) < 1e-9).any():
         raise FlexError("a flex sits at the frame's line at infinity")
-    return q[:, :2] / q[:, 2:3]
+    return points[:, :2] / points[:, 2:3]
 
 
 def _certify(form: PlaneCubicForm, points: np.ndarray) -> np.ndarray:
@@ -258,12 +247,11 @@ def solve_flexes(form: PlaneCubicForm, seed: int = 0, attempts: int = 4) -> Flex
         c_from = gamma * SPACE3.compose_matrix(start_form.coefficients, frame)
         c_to = SPACE3.compose_matrix(form.coefficients, frame)
         try:
-            state = _state_from_points(start_points @ np.linalg.inv(frame).T,
-                                       np.eye(3, dtype=complex))
+            state = _state_from_points(start_points @ np.linalg.inv(frame).T)
         except FlexError as exc:
             last = exc
             continue
-        system = FlexSystem(c_from, c_to, np.eye(3, dtype=complex))
+        system = FlexSystem(c_from, c_to)
         try:
             state, _ = track_segment(system, state,
                                      TrackOptions(collision_tol=FLEX_DISTINCT_TOL))
@@ -373,8 +361,6 @@ def permutation_in_f3_coordinates(perm: Permutation,
 
 def flexp9_family():
     """The full 10-coefficient space of plane cubics (degree-9 cover)."""
-    from .forms import FamilySpec
-
     return FamilySpec(
         name="FlexP9",
         parameter_dim=10,
@@ -411,11 +397,10 @@ def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0) -> TrackedPermutat
     rng = np.random.default_rng(frame_seed)
     frame = random_unitary(3, rng)
     frame_inv = np.linalg.inv(frame)
-    state = _state_from_points(base.points @ frame_inv.T, np.eye(3, dtype=complex))
+    state = _state_from_points(base.points @ frame_inv.T)
     coeffs = [SPACE3.compose_matrix(loop.family.raw_coeffs(w), frame)
               for w in loop.waypoints]
-    systems = [FlexSystem(a, b, np.eye(3, dtype=complex))
-               for a, b in zip(coeffs[:-1], coeffs[1:])]
+    systems = [FlexSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
     state, telemetry = track_polyline(systems, state)
     end_pts = np.array([normalize_point(p) for p in (systems[-1].points(state) @ frame.T)])
     u_end = end_pts / np.linalg.norm(end_pts, axis=1, keepdims=True)

@@ -303,15 +303,6 @@ def sheet_pluckers(state: SheetState) -> np.ndarray:
 class LineSystem(SegmentSystem):
     """27-line chart system along c(t) = (1-t) c_from + t c_to."""
 
-    def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
-        self.c_from = np.asarray(c_from, dtype=complex)
-        self.c_to = np.asarray(c_to, dtype=complex)
-        self.c_diff = self.c_to - self.c_from
-        self._grad_space, self._grad_ops = SPACE.gradient_ops()
-
-    def coeffs(self, t: float) -> np.ndarray:
-        return (1 - t) * self.c_from + t * self.c_to
-
     def _points(self, state: SheetState) -> np.ndarray:
         n = len(state.charts)
         free = CHART_FREE[state.charts]  # (n,2)
@@ -338,8 +329,9 @@ class LineSystem(SegmentSystem):
         vals = mono @ coeffs
         r = vals @ _VINV.T
         rt = (mono @ self.c_diff) @ _VINV.T
-        gmono = self._grad_space.monomial_values(pts)  # (n,4,10)
-        grads = np.stack([gmono @ (op @ coeffs) for op in self._grad_ops], axis=-1)
+        grad_space, grad_ops = SPACE.gradient_ops()
+        gmono = grad_space.monomial_values(pts)  # (n,4,10)
+        grads = np.stack([gmono @ (op @ coeffs) for op in grad_ops], axis=-1)
         n = len(state.charts)
         rows = np.arange(n)[:, None]
         samples = np.arange(4)[None, :]

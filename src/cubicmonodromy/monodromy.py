@@ -128,12 +128,28 @@ def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
 
 
 def run_campaign(c: Campaign) -> MonodromyReport:
-    """Solve the basepoint, track loops, and assemble the groups."""
-    if c.family.degree == 9:
-        return _run_flex_campaign(c)
+    """Solve the basepoint, track loops, and assemble the groups.
+
+    The fibre is the 27 lines, or the 9 flexes for a family of degree 9.
+    Only the base solve and the loop tracker differ between the two
+    covers; a flex family has no petals, twists or deck.
+    """
     form = c.family.form_at(c.basepoint)
-    base = ls.solve_lines(form, seed=c.seed)
-    labeling = schlafli.label_lines(ls.incidence_graph(base.lines))
+    if c.family.degree == 9:
+        base = fx.solve_flexes(form, seed=c.seed)
+        fx.check_hesse_configuration(fx.collinear_triples(base.points))
+        labeling = None
+        seed_step = 99991
+
+        def track(loop, seed):
+            return fx.track_flex_loop(loop, base, frame_seed=seed)
+    else:
+        base = ls.solve_lines(form, seed=c.seed)
+        labeling = schlafli.label_lines(ls.incidence_graph(base.lines))
+        seed_step = 100003
+
+        def track(loop, seed):
+            return tracker.track_loop(loop, base, labeling)
 
     deck_group = None
     deck_perms: list[Permutation] = []
@@ -161,22 +177,21 @@ def run_campaign(c: Campaign) -> MonodromyReport:
         yield from mandatory
         k = 0
         while True:
-            seed = (c.seed * 100003 + k) & 0x7FFFFFFF
+            seed = (c.seed * seed_step + k) & 0x7FFFFFFF
             if k % 2 == 0:
                 loop = tracker.random_polygon_loop(c.family, c.basepoint, seed=seed)
             else:
                 loop = tracker.random_lasso_loop(c.family, c.basepoint, seed=seed)
-            yield (f"{loop.kind}:{seed}",
-                   (lambda l=loop: tracker.track_loop(l, base, labeling)))
+            yield (f"{loop.kind}:{seed}", (lambda l=loop, s=seed: track(l, s)))
             k += 1
 
-    tracked, failures, plateau = _accumulate(27, stream(), c.loop_budget, len(mandatory))
+    tracked, failures, plateau = _accumulate(c.family.degree, stream(), c.loop_budget,
+                                             len(mandatory))
     if not tracked:
         raise CampaignError(f"no loop tracked successfully: {failures}")
-    for tp in tracked:
-        if not schlafli.is_graph_automorphism(tp.perm):
-            raise CampaignError("a tracked permutation broke the incidence structure")
     gens = [tp.perm for tp in tracked]
+    if labeling is not None and not all(map(schlafli.is_graph_automorphism, gens)):
+        raise CampaignError("a tracked permutation broke the incidence structure")
     group = perms.generate_group(gens)
     combined = None
     if deck_group is not None:
@@ -186,12 +201,12 @@ def run_campaign(c: Campaign) -> MonodromyReport:
                     raise CampaignError("tracked generator does not centralize the deck")
         combined = perms.generate_group(gens + deck_perms)
 
-    marked = _marked_triple(c, base, labeling)
     report = MonodromyReport(
         family=c.family.name, basepoint=c.basepoint, seed=c.seed,
         tracked=tracked, group=group, deck_group=deck_group,
         combined_group=combined, labeling=labeling, plateau_reached=plateau,
-        loop_failures=failures, marked_triple=marked,
+        loop_failures=failures, marked_triple=_marked_triple(c, base, labeling),
+        flex_base=base if labeling is None else None,
     )
     report.fingerprints["tracked"] = perms.fingerprint(group)
     if deck_group is not None:
@@ -211,37 +226,6 @@ def _marked_triple(c: Campaign, base: ls.SolveReport,
         raise CampaignError(
             f"expected 3 lines through the marked Eckardt point, found {len(slots)}")
     return tuple(sorted(labeling.assignment[i] for i in slots))
-
-
-def _run_flex_campaign(c: Campaign) -> MonodromyReport:
-    form = c.family.form_at(c.basepoint)
-    base = fx.solve_flexes(form, seed=c.seed)
-    fx.check_hesse_configuration(fx.collinear_triples(base.points))
-
-    def stream():
-        k = 0
-        while True:
-            seed = (c.seed * 99991 + k) & 0x7FFFFFFF
-            if k % 2 == 0:
-                loop = tracker.random_polygon_loop(c.family, c.basepoint, seed=seed)
-            else:
-                loop = tracker.random_lasso_loop(c.family, c.basepoint, seed=seed)
-            yield (f"{loop.kind}:{seed}",
-                   (lambda l=loop, s=seed: fx.track_flex_loop(l, base, frame_seed=s)))
-            k += 1
-
-    tracked, failures, plateau = _accumulate(9, stream(), c.loop_budget, 0)
-    if not tracked:
-        raise CampaignError(f"no flex loop tracked successfully: {failures}")
-    group = perms.generate_group([tp.perm for tp in tracked])
-    report = MonodromyReport(
-        family=c.family.name, basepoint=c.basepoint, seed=c.seed,
-        tracked=tracked, group=group, deck_group=None, combined_group=None,
-        labeling=None, plateau_reached=plateau, loop_failures=failures,
-    )
-    report.fingerprints["tracked"] = perms.fingerprint(group)
-    report.flex_base = base
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +362,8 @@ def claim_suite() -> list[Claim]:
     ]
 
 
-def _family_for(name: str) -> FamilySpec:
+def family_for(name: str) -> FamilySpec:
+    """The family of that name: a 27-line family, or the flex family."""
     if name == "FlexP9":
         return fx.flexp9_family()
     return get_family(name)
@@ -399,7 +384,7 @@ def run_claim_suite(budget: int = 40, seed: int = 0,
     for idx, claim in enumerate(suite):
         key = (claim.family, claim.include_twists)
         if key not in reports:
-            family = _family_for(claim.family)
+            family = family_for(claim.family)
             campaign = Campaign(
                 family=family,
                 basepoint=default_basepoint(claim.family, seed),

@@ -205,14 +205,22 @@ class TrackTelemetry:
 
 
 class SegmentSystem:
-    """Interface consumed by :func:`track_segment`.
+    """A chart system along the straight segment c(t) = (1-t) c_from + t c_to.
 
-    Subclasses supply residual R(z,t), Jacobian dR/dz and t-derivative
-    dR/dt for a batch of sheets, the coefficient difference ``c_diff`` of
-    the segment, plus optional housekeeping hooks.
+    The base class owns the segment: its end points, their difference
+    ``c_diff`` and the coefficients ``coeffs(t)``.  Subclasses supply the
+    residual R(z,t), the Jacobian dR/dz and the t-derivative dR/dt for a
+    batch of sheets, plus optional housekeeping hooks; this is the
+    interface that :func:`track_segment` consumes.
     """
 
-    c_diff: np.ndarray
+    def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
+        self.c_from = np.asarray(c_from, dtype=complex)
+        self.c_to = np.asarray(c_to, dtype=complex)
+        self.c_diff = self.c_to - self.c_from
+
+    def coeffs(self, t: float) -> np.ndarray:
+        return (1 - t) * self.c_from + t * self.c_to
 
     def length(self) -> float:
         """Coefficient distance covered by the segment (max-norm)."""

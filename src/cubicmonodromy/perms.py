@@ -318,9 +318,7 @@ class PermGroup:
 
     def same_elements(self, other: "PermGroup") -> bool:
         """Literal equality as subgroups of the same symmetric group."""
-        if self.degree != other.degree or self.order != other.order:
-            return False
-        return self._element_keys == other._element_keys
+        return self.order == other.order and self.is_subgroup_of(other)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if self.degree != other.degree:
@@ -387,21 +385,14 @@ def set_stabilizer(group: PermGroup, subset: Iterable[int]) -> PermGroup:
     imgs = np.sort(rows[:, sub], axis=1) if sub else np.empty((len(rows), 0), dtype=np.int64)
     mask = np.all(imgs == np.array(sub, dtype=np.int64), axis=1)
     kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept), kept, len(kept))
+    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept, len(kept))
 
 
-def _reduced_generators(rows: np.ndarray) -> list[Permutation]:
-    """A small generating set for a materialized element table."""
-    degree = rows.shape[1] if rows.ndim == 2 else 0
+def _reduced_generators(rows, degree: int) -> list[Permutation]:
+    """The rows (image sequences) that extend a stabilizer chain in turn:
+    a small generating set of the group that all of them generate."""
     chain = StabilizerChain(degree)
-    gens: list[Permutation] = []
-    target = len(rows)
-    for row in rows:
-        if chain.order() >= target:
-            break
-        if chain.extend(row):
-            gens.append(Permutation(row))
-    return gens
+    return [Permutation(row) for row in rows if chain.extend(row)]
 
 
 def centralizer(group: PermGroup, sub: PermGroup) -> PermGroup:
@@ -415,7 +406,7 @@ def centralizer(group: PermGroup, sub: PermGroup) -> PermGroup:
         conj = _conjugate_rows(rows, harr)
         mask &= np.all(conj == harr, axis=1)
     kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept), kept, len(kept))
+    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept, len(kept))
 
 
 def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
@@ -434,7 +425,7 @@ def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
         )
         mask &= inside
     kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept), kept, len(kept))
+    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept, len(kept))
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -464,19 +455,8 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
                     closure_gens[key] = conj
                     new.append(conj)
         frontier = new
-    perm_gens = [Permutation(c) for c in closure_gens.values()]
-    if not perm_gens:
-        return generate_group([], degree=degree)
-    return generate_group(_reduced_from_perms(perm_gens, degree), degree=degree)
-
-
-def _reduced_from_perms(perms: list[Permutation], degree: int) -> list[Permutation]:
-    chain = StabilizerChain(degree)
-    out = []
-    for p in perms:
-        if chain.extend(np.array(p.images)):
-            out.append(p)
-    return out if out else []
+    return generate_group(_reduced_generators(closure_gens.values(), degree),
+                          degree=degree)
 
 
 def quotient_group(group: PermGroup, normal: PermGroup) -> PermGroup:
@@ -497,8 +477,8 @@ def quotient_group(group: PermGroup, normal: PermGroup) -> PermGroup:
     if n_cosets * normal.order != group.order:
         raise GroupError("coset decomposition inconsistent")
     qgens = [_coset_image(table, g) for g in group.generators]
-    return generate_group(_reduced_from_perms(qgens, n_cosets) or [identity(n_cosets)],
-                          degree=n_cosets)
+    return generate_group(_reduced_generators([q.images for q in qgens], n_cosets)
+                          or [identity(n_cosets)], degree=n_cosets)
 
 
 def _coset_table(group: PermGroup, normal: PermGroup):
@@ -866,8 +846,7 @@ def diagonal_quotient_stabilizer(g_table: Sequence[Sequence[int]]) -> PermGroup:
             for k in range(n):
                 if table[table[i][j]][k] != table[i][table[j][k]]:
                     raise GroupError("table is not associative")
-    rows = [Permutation(row) for row in table]
-    group = generate_group(_reduced_from_perms(rows, n) or [identity(n)], degree=n)
+    group = generate_group(_reduced_generators(table, n) or [identity(n)], degree=n)
     if group.order != n:
         raise GroupError("regular image has wrong order")
     return group

@@ -96,3 +96,11 @@ def test_reproducibility_same_seed_same_output(tmp_path):
         run(["track", "--family", "S4", "--param", "0.6,0.8",
              "--petal", "0,0", "--seed", "9", "--out", str(path)])
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("command", ["solve", "track"])
+def test_flex_family_is_offered_only_to_campaign(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--family", "FlexP9"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'FlexP9'" in capsys.readouterr().err

@@ -386,3 +386,16 @@ def test_group_json_roundtrip():
     assert data["order"] == 12 and data["degree"] == 5
     g2 = P.PermGroup.from_json(data)
     assert g2.same_elements(g)
+
+
+def test_same_elements_compares_unmaterialized_groups():
+    a, b, c, d = (P.Permutation(x) for x in ([1, 0, 2, 3], [0, 1, 3, 2],
+                                              [1, 0, 3, 2], [2, 3, 0, 1]))
+    two_swaps = P.generate_group([a, b], cap=2)
+    klein = P.generate_group([c, d], cap=2)
+    assert not two_swaps.is_materialized and not klein.is_materialized
+    assert two_swaps.order == klein.order == 4
+    assert not two_swaps.same_elements(klein)
+    assert not klein.same_elements(two_swaps)
+    assert klein.same_elements(P.generate_group([d, c], cap=2))
+    assert klein.same_elements(P.generate_group([c, d]))

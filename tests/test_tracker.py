@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cubicmonodromy import flexes as FX
 from cubicmonodromy import forms as F
 from cubicmonodromy import linesolver as L
 from cubicmonodromy import perms as P
@@ -191,3 +192,38 @@ def test_s3c2_petals_at_cubic_roots():
     for p in petals:
         root = p.detail["puncture"]
         assert abs(4 * root**3 + 27) < 1e-9
+
+
+def _line_system_and_state(rng):
+    c_from, c_to = (rng.normal(size=20) + 1j * rng.normal(size=20) for _ in range(2))
+    state = L.SheetState(charts=rng.integers(0, len(L.CHART_FREE), size=27),
+                         params=rng.normal(size=(27, 4)) + 1j * rng.normal(size=(27, 4)))
+    return L.LineSystem(c_from, c_to), state
+
+
+def _flex_system_and_state(rng):
+    c_from, c_to = (rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(2))
+    state = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    return FX.FlexSystem(c_from, c_to), state
+
+
+@pytest.mark.parametrize("make", [_line_system_and_state, _flex_system_and_state],
+                         ids=["LineSystem", "FlexSystem"])
+@pytest.mark.parametrize("seed", range(3))
+def test_chart_system_derivatives_match_finite_differences(make, seed):
+    rng = np.random.default_rng(seed)
+    system, state = make(rng)
+    t = rng.uniform(0.2, 0.8)
+    r, j, rt = system.res_jac_dt(state, t)
+    np.testing.assert_array_equal(r, system.residual(state, t))
+    h = 1e-6
+    n, k = r.shape
+    fd_j = np.empty_like(j)
+    for m in range(k):
+        e = np.zeros((n, k), dtype=complex)
+        e[:, m] = h
+        fd_j[:, :, m] = (system.residual(system.update(state, e), t)
+                         - system.residual(system.update(state, -e), t)) / (2 * h)
+    fd_rt = (system.residual(state, t + h) - system.residual(state, t - h)) / (2 * h)
+    np.testing.assert_allclose(fd_j, j, rtol=1e-6, atol=1e-6 * np.abs(j).max())
+    np.testing.assert_allclose(fd_rt, rt, rtol=1e-6, atol=1e-6 * np.abs(rt).max())
