@@ -135,9 +135,7 @@ def cmd_campaign(args) -> int:
 def cmd_verify_all(args) -> int:
     claims = args.claims.split(",") if args.claims else None
     if args.budget < 1:
-        suite = monodromy.claim_suite()
-        if claims:
-            suite = [c for c in suite if c.claim_id in set(claims)]
+        suite = monodromy.requested_claims(claims)
         payload = {
             "schema": "cubicmonodromy/claims/1",
             "budget": args.budget,
@@ -157,10 +155,6 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_flexes(args) -> int:
-    if args.campaign:
-        report = fx.flex_monodromy_campaign(budget=args.budget, seed=args.seed)
-        _emit(report.to_json(), args.out)
-        return 0
     if args.hesse is not None:
         form = fx.hesse_form(_parse_complex(args.hesse))
     elif args.coeffs:
@@ -222,12 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p.set_defaults(func=cmd_verify_all)
 
-    p = sub.add_parser("flexes", help="solve the 9 flexes or run their campaign")
+    p = sub.add_parser("flexes", help="solve the 9 flexes of a plane cubic")
     common(p)
     p.add_argument("--hesse", help="Hesse parameter k as re,im")
     p.add_argument("--coeffs", help="JSON list of 10 [re,im] pairs")
-    p.add_argument("--campaign", action="store_true")
-    p.add_argument("--budget", type=int, default=40)
     p.set_defaults(func=cmd_flexes)
     return parser
 

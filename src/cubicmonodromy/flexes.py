@@ -372,21 +372,6 @@ def flexp9_family():
     )
 
 
-def flex_monodromy_campaign(budget: int = 40, seed: int = 0):
-    """Random-loop campaign over the space of smooth plane cubics.
-
-    Returns a degree-9 MonodromyReport; the expected group is ASL2(F3) of
-    order 216.  Loops avoid the discriminant reactively: failed tracks are
-    recorded and replaced by fresh random loops.
-    """
-    from .monodromy import Campaign, default_basepoint, run_campaign
-
-    campaign = Campaign(family=flexp9_family(),
-                        basepoint=default_basepoint("FlexP9", seed),
-                        loop_budget=budget, seed=seed)
-    return run_campaign(campaign)
-
-
 def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0) -> TrackedPermutation:
     """Continue the nine flexes around a loop in coefficient space.
 

@@ -52,9 +52,6 @@ class CubicForm:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return SPACE.evaluate(self.coefficients, points)
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        return SPACE.gradient(self.coefficients, points)
-
     def transformed(self, m: np.ndarray) -> "CubicForm":
         """The form F(M x)."""
         return CubicForm(SPACE.compose_matrix(self.coefficients, np.asarray(m)))
@@ -94,12 +91,6 @@ class ProjectiveMatrix:
             raise FormError("matrix is numerically singular")
         object.__setattr__(self, "entries", m)
         self.entries.setflags(write=False)
-
-    def inverse(self) -> "ProjectiveMatrix":
-        return ProjectiveMatrix(np.linalg.inv(self.entries))
-
-    def __matmul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
-        return ProjectiveMatrix(self.entries @ other.entries)
 
 
 ZETA3 = np.exp(2j * np.pi / 3)

@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from . import schlafli
 from .forms import SPACE, CubicForm, fermat_cubic
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, TrackTelemetry, random_unitary,
+                      TrackOptions, TrackTelemetry, as_complex, random_unitary,
                       track_segment)
 
 # free coordinate pairs of the six charts; dependents are the complements
@@ -307,11 +307,11 @@ class LineSystem(SegmentSystem):
         n = len(state.charts)
         free = CHART_FREE[state.charts]  # (n,2)
         dep = CHART_DEP[state.charts]
-        pts = np.zeros((n, 4, 4), dtype=complex)
+        a, b, c, d = as_complex(state.params).T
+        pts = np.zeros((n, 4, 4), dtype=a.dtype)
         rows = np.arange(n)[:, None]
         samples = np.arange(4)[None, :]
         s, t = _SAMPLES[:, 0], _SAMPLES[:, 1]
-        a, b, c, d = state.params.T
         pts[rows, samples, free[:, 0][:, None]] = s[None, :]
         pts[rows, samples, free[:, 1][:, None]] = t[None, :]
         pts[rows, samples, dep[:, 0][:, None]] = a[:, None] * s + b[:, None] * t
@@ -403,11 +403,14 @@ def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, f
     """Newton polish all sheets at fixed coefficients.
 
     Returns (state, max relative chart residual, number of long-double
-    escalations).  Sheets whose Jacobian conditioning exceeds
-    ``ESCALATE_COND`` are refined once more in extended precision.
+    escalations).  Sheets whose Jacobian condition exceeds
+    ``ESCALATE_COND`` take up to eight more Newton steps together, on the
+    same ``LineSystem`` in ``clongdouble``: each step evaluates the
+    residual and Jacobian in extended precision and solves for the
+    correction in double, until every such sheet's step is below
+    1e-16 (1 + height).
     """
     system = LineSystem(coeffs, coeffs)
-    escalations = 0
     for _ in range(6):
         r, j, _ = system.res_jac_dt(state, 1.0)
         delta = np.linalg.solve(j, r[..., None])[..., 0]
@@ -415,59 +418,24 @@ def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, f
         if (np.abs(delta).max(axis=-1) < POLISH_TOL * system.param_scale(state)).all():
             break
     r, j, _ = system.res_jac_dt(state, 1.0)
-    conds = np.linalg.cond(j)
-    hot = np.nonzero(conds > ESCALATE_COND)[0]
+    hot = np.nonzero(np.linalg.cond(j) > ESCALATE_COND)[0]
     if len(hot):
+        wide = coeffs.astype(np.clongdouble)
+        extended = LineSystem(wide, wide)
+        sheets = SheetState(charts=state.charts[hot],
+                            params=state.params[hot].astype(np.clongdouble))
+        for _ in range(8):
+            r, j, _ = extended.res_jac_dt(sheets, 1.0)
+            delta = np.linalg.solve(j.astype(complex), r.astype(complex)[..., None])[..., 0]
+            sheets = extended.update(sheets, -delta)
+            if (np.abs(delta).max(axis=-1) < 1e-16 * extended.param_scale(sheets)).all():
+                break
         params = state.params.copy()
-        for k in hot:
-            params[k] = _polish_one_longdouble(coeffs, int(state.charts[k]), params[k])
-            escalations += 1
+        params[hot] = sheets.params.astype(complex)
         state = SheetState(charts=state.charts, params=params)
         r = system.residual(state, 1.0)
     rel = float((np.abs(r).max(axis=-1) / system.scale(state, 1.0)).max())
-    return state, rel, escalations
-
-
-def _polish_one_longdouble(coeffs: np.ndarray, chart: int,
-                           params: np.ndarray) -> np.ndarray:
-    """Extended-precision Newton for one badly conditioned sheet."""
-    c = coeffs.astype(np.clongdouble)
-    expo = SPACE.exponents
-    free, dep = CHART_FREE[chart], CHART_DEP[chart]
-    z = params.astype(np.clongdouble)
-
-    def residual_jacobian(z):
-        r = np.zeros(4, dtype=np.clongdouble)
-        jac = np.zeros((4, 4), dtype=np.clongdouble)
-        for row, (s, t) in enumerate(_SAMPLES):
-            pt = np.zeros(4, dtype=np.clongdouble)
-            pt[free[0]], pt[free[1]] = s, t
-            pt[dep[0]] = z[0] * s + z[1] * t
-            pt[dep[1]] = z[2] * s + z[3] * t
-            val = np.clongdouble(0)
-            grad = np.zeros(4, dtype=np.clongdouble)
-            for cm, e in zip(c, expo):
-                term = cm * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] * pt[3] ** e[3]
-                val += term
-                for v in range(4):
-                    if e[v]:
-                        gterm = cm * e[v] * pt[v] ** (e[v] - 1)
-                        for u in range(4):
-                            if u != v and e[u]:
-                                gterm *= pt[u] ** e[u]
-                        grad[v] += gterm
-            r[row] = val
-            jac[row] = [grad[dep[0]] * s, grad[dep[0]] * t,
-                        grad[dep[1]] * s, grad[dep[1]] * t]
-        return _VINV.astype(np.clongdouble) @ r, _VINV.astype(np.clongdouble) @ jac
-
-    for _ in range(8):
-        r, jac = residual_jacobian(z)
-        delta = np.linalg.solve(jac.astype(complex), r.astype(complex))
-        z = z - delta.astype(np.clongdouble)
-        if np.abs(delta).max() < 1e-16 * (1 + float(np.abs(z.astype(complex)).max())):
-            break
-    return z.astype(complex)
+    return state, rel, len(hot)
 
 
 def certify_lines(form: CubicForm, lines: list[Line], rng: np.random.Generator) -> float:

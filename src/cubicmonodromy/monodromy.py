@@ -55,8 +55,7 @@ def default_basepoint(name: str, seed: int = 0) -> np.ndarray:
     }
     if name in fixed:
         return fixed[name]
-    dims = {"Generic20": 20, "C2even": 13, "FlexP9": 10}
-    n = dims[name]
+    n = family_for(name).parameter_dim
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
@@ -369,16 +368,25 @@ def family_for(name: str) -> FamilySpec:
     return get_family(name)
 
 
+def requested_claims(claims: list[str] | None) -> list[Claim]:
+    """The claims of the suite with these ids, in suite order (all for None)."""
+    suite = claim_suite()
+    if not claims:
+        return suite
+    wanted = set(claims)
+    unknown = wanted - {c.claim_id for c in suite}
+    if unknown:
+        raise CampaignError(f"unknown claims: {sorted(unknown)}")
+    return [c for c in suite if c.claim_id in wanted]
+
+
 def run_claim_suite(budget: int = 40, seed: int = 0,
                     claims: list[str] | None = None) -> dict:
-    """Run every requested claim; campaigns are shared between claims."""
-    suite = claim_suite()
-    if claims:
-        wanted = set(claims)
-        unknown = wanted - {c.claim_id for c in suite}
-        if unknown:
-            raise CampaignError(f"unknown claims: {sorted(unknown)}")
-        suite = [c for c in suite if c.claim_id in wanted]
+    """Run every requested claim; campaigns are shared between claims.
+
+    Each new campaign is seeded by its claim's index in the requested list.
+    """
+    suite = requested_claims(claims)
     reports: dict[tuple[str, bool], MonodromyReport] = {}
     verdicts = []
     for idx, claim in enumerate(suite):

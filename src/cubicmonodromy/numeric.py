@@ -55,17 +55,17 @@ class FormSpace:
 
     def monomial_values(self, points: np.ndarray) -> np.ndarray:
         """Values of every monomial at points of shape (..., nvars)."""
-        pts = np.asarray(points, dtype=complex)
-        pw = np.ones(pts.shape[:-1] + (self.nvars, self.degree + 1), dtype=complex)
+        pts = as_complex(points)
+        pw = np.ones(pts.shape[:-1] + (self.nvars, self.degree + 1), dtype=pts.dtype)
         for k in range(1, self.degree + 1):
             pw[..., k] = pw[..., k - 1] * pts
-        vals = np.ones(pts.shape[:-1] + (self.dim,), dtype=complex)
+        vals = np.ones(pts.shape[:-1] + (self.dim,), dtype=pts.dtype)
         for v in range(self.nvars):
             vals = vals * pw[..., v, self.exponents[:, v]]
         return vals
 
     def evaluate(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return self.monomial_values(points) @ np.asarray(coeffs, dtype=complex)
+        return self.monomial_values(points) @ as_complex(coeffs)
 
     def gradient_ops(self) -> tuple["FormSpace", list[np.ndarray]]:
         """Lower-degree space plus matrices sending coeffs to d/dx_v coeffs."""
@@ -88,7 +88,7 @@ class FormSpace:
         """Gradient at points; shape (..., nvars)."""
         lower, ops = self.gradient_ops()
         mono = lower.monomial_values(points)
-        cols = [mono @ (op @ np.asarray(coeffs, dtype=complex)) for op in ops]
+        cols = [mono @ (op @ as_complex(coeffs)) for op in ops]
         return np.stack(cols, axis=-1)
 
     def compose_matrix(self, coeffs: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -124,6 +124,12 @@ class FormSpace:
             raise ValueError("third derivatives only for cubic spaces")
         return np.einsum("m,mijk->ijk", np.asarray(coeffs, dtype=complex),
                          _third_derivative_constants(self.nvars))
+
+
+def as_complex(x) -> np.ndarray:
+    """``x`` as a ``clongdouble`` array if it is long double, else as complex128."""
+    x = np.asarray(x)
+    return np.asarray(x, dtype=np.clongdouble if x.dtype.char in "gG" else complex)
 
 
 def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -208,15 +214,16 @@ class SegmentSystem:
     """A chart system along the straight segment c(t) = (1-t) c_from + t c_to.
 
     The base class owns the segment: its end points, their difference
-    ``c_diff`` and the coefficients ``coeffs(t)``.  Subclasses supply the
+    ``c_diff`` and the coefficients ``coeffs(t)``, in ``clongdouble`` when
+    the end points are given so.  Subclasses supply the
     residual R(z,t), the Jacobian dR/dz and the t-derivative dR/dt for a
     batch of sheets, plus optional housekeeping hooks; this is the
     interface that :func:`track_segment` consumes.
     """
 
     def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
-        self.c_from = np.asarray(c_from, dtype=complex)
-        self.c_to = np.asarray(c_to, dtype=complex)
+        self.c_from = as_complex(c_from)
+        self.c_to = as_complex(c_to)
         self.c_diff = self.c_to - self.c_from
 
     def coeffs(self, t: float) -> np.ndarray:

@@ -191,10 +191,7 @@ class StabilizerChain:
                         tr[img] = g[rep]  # rep, then g
                         new.append(img)
             frontier = new
-        if k < len(self.transversals):
-            self.transversals[k] = tr
-        else:
-            self.transversals.append(tr)
+        self.transversals[k] = tr
 
     def _ensure_base(self) -> None:
         for g in self.pool:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cubicmonodromy import cli
+from cubicmonodromy import cli, monodromy
 
 
 def run(argv):
@@ -71,6 +71,15 @@ def test_verify_all_seed_change_same_verdicts(tmp_path):
 def test_verify_all_unknown_claim():
     with pytest.raises(Exception):
         run(["verify-all", "--claims", "nonsense"])
+
+
+def test_verify_all_budget_zero_filters_claims_like_a_run(capsys):
+    # the zero-budget report goes through the same claim filter as a run
+    with pytest.raises(monodromy.CampaignError, match="unknown claims"):
+        run(["verify-all", "--budget", "0", "--claims", "nonsense"])
+    assert run(["verify-all", "--budget", "0", "--claims", "flexes,S4-coarse"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert [v["claim_id"] for v in data["verdicts"]] == ["S4-coarse", "flexes"]
 
 
 def test_flexes_solve(capsys):

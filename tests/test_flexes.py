@@ -6,6 +6,7 @@ import sympy as sp
 
 from cubicmonodromy import flexes as FX
 from cubicmonodromy import linesolver as ls
+from cubicmonodromy import monodromy as M
 from cubicmonodromy import perms as P
 
 
@@ -152,7 +153,9 @@ def test_flex_permutation_transport():
 
 
 def test_flex_monodromy_campaign():
-    report = FX.flex_monodromy_campaign(budget=30, seed=2)
+    report = M.run_campaign(M.Campaign(family=FX.flexp9_family(),
+                                       basepoint=M.default_basepoint("FlexP9", 2),
+                                       loop_budget=30, seed=2))
     assert report.plateau_reached
     assert report.group.order == 216
     assert report.group.degree == 9

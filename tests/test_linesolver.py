@@ -214,3 +214,30 @@ def test_single_segment_solve_keeps_its_step_count():
     # loops carry across waypoints does not reach single-segment solves
     tel = L.solve_lines(F.random_cubic(np.random.default_rng(0)), seed=0).telemetry
     assert (tel.steps, tel.rejected) == (27, 14)
+
+
+def test_line_system_keeps_long_double_input():
+    rng = np.random.default_rng(4)
+    c = rng.normal(size=20) + 1j * rng.normal(size=20)
+    state = L.SheetState(charts=np.arange(6),
+                         params=rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
+    wide = c.astype(np.clongdouble)
+    extended = L.LineSystem(wide, wide).res_jac_dt(
+        L.SheetState(charts=state.charts, params=state.params.astype(np.clongdouble)), 1.0)
+    for e, d in zip(extended, L.LineSystem(c, c).res_jac_dt(state, 1.0)):
+        assert e.dtype == np.clongdouble
+        np.testing.assert_allclose(e.astype(complex), d, rtol=1e-12,
+                                   atol=1e-12 * np.abs(d).max())
+
+
+def test_forced_escalation_polishes_every_sheet_in_long_double(monkeypatch):
+    form = F.random_cubic(np.random.default_rng(3))
+    plain = L.solve_lines(form, seed=0)
+    monkeypatch.setattr(L, "ESCALATE_COND", 0.0)
+    forced = L.solve_lines(form, seed=0)
+    assert (plain.telemetry.escalations, forced.telemetry.escalations) == (0, 27)
+    assert forced.max_residual < L.RESIDUAL_TOL
+    from cubicmonodromy.surfaces import _projective_distance
+    worst = max(_projective_distance(a.plucker, b.plucker)
+                for a, b in zip(plain.lines, forced.lines))
+    assert worst < 1e-12

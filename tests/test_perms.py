@@ -399,3 +399,17 @@ def test_same_elements_compares_unmaterialized_groups():
     assert not klein.same_elements(two_swaps)
     assert klein.same_elements(P.generate_group([d, c], cap=2))
     assert klein.same_elements(P.generate_group([c, d]))
+
+
+def test_conjugacy_scan_when_fingerprints_agree():
+    s4 = P.named_group("S4")
+    swap01 = P.generate_group([P.from_cycles(4, [[0, 1]])])
+    swap12 = P.generate_group([P.from_cycles(4, [[1, 2]])])
+    assert not swap01.same_elements(swap12)
+    assert P.are_conjugate_subgroups(s4, swap01, swap12)
+    # the normal Klein group and <(0 1), (2 3)>: same fingerprint, not conjugate
+    normal_klein = P.generate_group([P.from_cycles(4, [[0, 1], [2, 3]]),
+                                     P.from_cycles(4, [[0, 2], [1, 3]])])
+    two_swaps = P.generate_group([P.from_cycles(4, [[0, 1]]), P.from_cycles(4, [[2, 3]])])
+    assert P.fingerprint(normal_klein) == P.fingerprint(two_swaps)
+    assert not P.are_conjugate_subgroups(s4, normal_klein, two_swaps)
