@@ -4,17 +4,20 @@ Permutations act on {0..n-1}.  ``compose(p, q)`` means "apply p, then q",
 so tracking two loops in succession composes their permutations in path
 order.  Groups are immutable once generated; all queries are read-only.
 
-Groups up to a materialization cap (default 10^6 elements) are stored as
-explicit element tables, which makes stabilizers, centralizers and
-normalizers exact by scan.  Orders are independently available through a
-Schreier-Sims stabilizer chain, used both as a fallback above the cap and
-as a cross-check.
+A group is its explicit element table, which makes stabilizers,
+centralizers, normalizers and quotients exact by scan.  Generating a group
+of more than ``MATERIALIZE_CAP`` elements raises ``GroupError``; the order
+of such a group is still available from a Schreier-Sims stabilizer chain
+(``bsgs_order``), which also cross-checks the orders of the tables.
+Derived data (the fingerprint, the derived subgroup, quotients with their
+coset tables) is computed on first use and kept on the group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -121,7 +124,7 @@ def cycle_string(p: Permutation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Schreier-Sims stabilizer chain (order computation without materialization)
+# Schreier-Sims stabilizer chain (order computation without an element table)
 # ---------------------------------------------------------------------------
 
 
@@ -147,10 +150,6 @@ class StabilizerChain:
         for tr in self.transversals:
             n *= len(tr)
         return n
-
-    def contains(self, arr: np.ndarray) -> bool:
-        _, residue = self._sift(np.asarray(arr, dtype=np.int64))
-        return bool(np.all(residue == self._identity))
 
     def extend(self, arr: np.ndarray) -> bool:
         """Add one generator; True if the group grew."""
@@ -247,8 +246,8 @@ def bsgs_order(generators: Sequence[Permutation], degree: int | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _close_elements(degree: int, gen_arrays: list[np.ndarray], cap: int) -> np.ndarray | None:
-    """BFS closure of a generating set; None if cap is exceeded."""
+def _close_elements(degree: int, gen_arrays: list[np.ndarray]) -> np.ndarray:
+    """BFS closure of a generating set, at most ``MATERIALIZE_CAP`` elements."""
     ident = np.arange(degree, dtype=np.int64)
     seen = {ident.tobytes()}
     rows = [ident]
@@ -262,8 +261,8 @@ def _close_elements(degree: int, gen_arrays: list[np.ndarray], cap: int) -> np.n
                 if key not in seen:
                     seen.add(key)
                     new_rows.append(r)
-        if len(seen) > cap:
-            return None
+        if len(seen) > MATERIALIZE_CAP:
+            raise GroupError(f"group has more than {MATERIALIZE_CAP} elements")
         if not new_rows:
             break
         frontier = np.array(new_rows)
@@ -274,24 +273,18 @@ def _close_elements(degree: int, gen_arrays: list[np.ndarray], cap: int) -> np.n
 class PermGroup:
     """A finitely generated permutation group of fixed degree."""
 
-    def __init__(self, degree: int, generators: Sequence[Permutation],
-                 elements: np.ndarray | None, order: int):
+    def __init__(self, degree: int, generators: Sequence[Permutation], elements: np.ndarray):
         self.degree = degree
         self.generators = list(generators)
         self._elements = elements
-        self._element_keys = (
-            None if elements is None else frozenset(r.tobytes() for r in elements)
-        )
-        self.order = order
+        self._element_keys = frozenset(r.tobytes() for r in elements)
+        self.order = len(elements)
         self._fingerprint: GroupFingerprint | None = None
-
-    @property
-    def is_materialized(self) -> bool:
-        return self._elements is not None
+        self._derived: PermGroup | None = None
+        # quotient and coset table, keyed by the element set of the kernel
+        self._quotients: dict[frozenset[bytes], tuple[PermGroup, tuple]] = {}
 
     def element_array(self) -> np.ndarray:
-        if self._elements is None:
-            raise GroupError("group is not materialized")
         return self._elements
 
     def elements(self) -> list[Permutation]:
@@ -300,17 +293,9 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        arr = np.array(p.images, dtype=np.int64)
-        if self._element_keys is not None:
-            return arr.tobytes() in self._element_keys
-        chain = StabilizerChain(self.degree)
-        for g in self.generators:
-            chain.extend(np.array(g.images))
-        return chain.contains(arr)
+        return np.array(p.images, dtype=np.int64).tobytes() in self._element_keys
 
     def contains_key(self, key: bytes) -> bool:
-        if self._element_keys is None:
-            raise GroupError("group is not materialized")
         return key in self._element_keys
 
     def same_elements(self, other: "PermGroup") -> bool:
@@ -331,24 +316,28 @@ class PermGroup:
             "degree": self.degree,
             "generators": [list(g.images) for g in self.generators],
             "order": self.order,
-            "fingerprint": fingerprint(self).to_json() if self.is_materialized else None,
+            "fingerprint": fingerprint(self).to_json(),
         }
 
     @staticmethod
     def from_json(data: Mapping) -> "PermGroup":
         gens = [Permutation(g) for g in data["generators"]]
-        return generate_group(gens, degree=int(data["degree"]))
+        group = generate_group(gens, degree=int(data["degree"]))
+        if group.order != int(data["order"]):
+            raise GroupError(f"recorded order {data['order']}, "
+                             f"but the generators give {group.order}")
+        return group
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def generate_group(generators: Sequence[Permutation], cap: int = MATERIALIZE_CAP,
+def generate_group(generators: Sequence[Permutation],
                    degree: int | None = None) -> PermGroup:
-    """Generate a group, materializing elements when the order fits the cap.
+    """Generate a group and its element table.
 
-    Above the cap the exact order still comes from a stabilizer chain, but
-    element scans (stabilizer, centralizer, ...) are unavailable.
+    Raises ``GroupError`` above ``MATERIALIZE_CAP`` elements; ``bsgs_order``
+    gives the order of such a group.
     """
     gens = list(generators)
     if degree is None:
@@ -359,11 +348,7 @@ def generate_group(generators: Sequence[Permutation], cap: int = MATERIALIZE_CAP
         if g.degree != degree:
             raise GroupError(f"degree mismatch: {g.degree} vs {degree}")
     arrays = [np.array(g.images, dtype=np.int64) for g in gens]
-    elements = _close_elements(degree, arrays, cap)
-    if elements is not None:
-        return PermGroup(degree, gens, elements, len(elements))
-    order = bsgs_order(gens, degree)
-    return PermGroup(degree, gens, None, order)
+    return PermGroup(degree, gens, _close_elements(degree, arrays))
 
 
 def _conjugate_rows(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -382,7 +367,7 @@ def set_stabilizer(group: PermGroup, subset: Iterable[int]) -> PermGroup:
     imgs = np.sort(rows[:, sub], axis=1) if sub else np.empty((len(rows), 0), dtype=np.int64)
     mask = np.all(imgs == np.array(sub, dtype=np.int64), axis=1)
     kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept, len(kept))
+    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept)
 
 
 def _reduced_generators(rows, degree: int) -> list[Permutation]:
@@ -403,15 +388,13 @@ def centralizer(group: PermGroup, sub: PermGroup) -> PermGroup:
         conj = _conjugate_rows(rows, harr)
         mask &= np.all(conj == harr, axis=1)
     kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept, len(kept))
+    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept)
 
 
 def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
     """Exact normalizer of sub in group, by element scan."""
     if group.degree != sub.degree:
         raise GroupError("degree mismatch")
-    if not sub.is_materialized:
-        raise GroupError("subgroup must be materialized")
     rows = group.element_array()
     mask = np.ones(len(rows), dtype=bool)
     for h in sub.generators:
@@ -422,11 +405,14 @@ def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
         )
         mask &= inside
     kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept, len(kept))
+    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept)
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
-    """Commutator subgroup, via normal closure of generator commutators."""
+    """Commutator subgroup, via normal closure of generator commutators,
+    computed on the first call and kept on the group."""
+    if group._derived is not None:
+        return group._derived
     gens = group.generators
     degree = group.degree
     gen_arrays = [np.array(g.images, dtype=np.int64) for g in gens]
@@ -452,30 +438,42 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
                     closure_gens[key] = conj
                     new.append(conj)
         frontier = new
-    return generate_group(_reduced_generators(closure_gens.values(), degree),
-                          degree=degree)
+    group._derived = generate_group(_reduced_generators(closure_gens.values(), degree),
+                                    degree=degree)
+    return group._derived
 
 
 def quotient_group(group: PermGroup, normal: PermGroup) -> PermGroup:
-    """Quotient realized by the permutation action on cosets of the kernel."""
+    """Quotient realized by the permutation action on cosets of the kernel.
+
+    Built on the first call for a kernel and kept on the group, so kernels
+    with the same elements share one quotient.
+    """
+    return _kept_quotient(group, normal)[0]
+
+
+def _kept_quotient(group: PermGroup, normal: PermGroup) -> tuple[PermGroup, tuple]:
+    """The quotient by normal together with its coset table."""
     if group.degree != normal.degree:
         raise GroupError("degree mismatch")
-    if not (group.is_materialized and normal.is_materialized):
-        raise GroupError("quotient requires materialized groups")
-    for h in normal.generators:
-        if h not in group:
-            raise GroupError("subgroup not contained in group")
-        for g in group.generators:
-            conj = compose(compose(g.inverse(), h), g)
-            if conj not in normal:
-                raise GroupError("subgroup is not normal")
-    table = _coset_table(group, normal)
-    n_cosets = len(table[1])
-    if n_cosets * normal.order != group.order:
-        raise GroupError("coset decomposition inconsistent")
-    qgens = [_coset_image(table, g) for g in group.generators]
-    return generate_group(_reduced_generators([q.images for q in qgens], n_cosets)
-                          or [identity(n_cosets)], degree=n_cosets)
+    key = normal._element_keys
+    if key not in group._quotients:
+        for h in normal.generators:
+            if h not in group:
+                raise GroupError("subgroup not contained in group")
+            for g in group.generators:
+                conj = compose(compose(g.inverse(), h), g)
+                if conj not in normal:
+                    raise GroupError("subgroup is not normal")
+        table = _coset_table(group, normal)
+        n_cosets = len(table[1])
+        if n_cosets * normal.order != group.order:
+            raise GroupError("coset decomposition inconsistent")
+        qgens = [_coset_image(table, g) for g in group.generators]
+        quotient = generate_group(_reduced_generators([q.images for q in qgens], n_cosets)
+                                  or [identity(n_cosets)], degree=n_cosets)
+        group._quotients[key] = (quotient, table)
+    return group._quotients[key]
 
 
 def _coset_table(group: PermGroup, normal: PermGroup):
@@ -532,27 +530,16 @@ class GroupFingerprint:
 
 
 def element_order_histogram(group: PermGroup) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for row in group.element_array():
-        o = _array_order(row)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
-
-
-def _array_order(row: np.ndarray) -> int:
-    n = 1
-    seen = np.zeros(len(row), dtype=bool)
-    for i in range(len(row)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(row[j])
-            length += 1
-        n = math.lcm(n, length)
-    return n
+    """Number of elements of each order, by powering the whole element table
+    until every row reaches the identity (one pass per power)."""
+    rows = group.element_array()
+    orders = np.zeros(len(rows), dtype=np.int64)
+    power, k = rows, 1
+    while not orders.all():
+        orders[(orders == 0) & np.all(power == np.arange(group.degree), axis=1)] = k
+        power, k = np.take_along_axis(rows, power, axis=1), k + 1  # power, then row
+    values, counts = np.unique(orders, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 def center_order(group: PermGroup) -> int:
@@ -742,8 +729,10 @@ NAMED_GROUPS = (
 )
 
 
+@lru_cache(maxsize=None)
 def named_group(name: str) -> PermGroup:
-    """Oracle construction of a named group on a natural faithful domain."""
+    """Oracle construction of a named group on a natural faithful domain,
+    built once per name."""
     s3 = _sym_gens(3)
     c2 = _cyc_gens(2)
     builders = {
@@ -778,7 +767,8 @@ def split_central_extension_check(big: PermGroup, center_gen: Permutation) -> st
     "inconclusive".  For a central subgroup of order 2 a complement has
     index 2, so the complement search (through the abelianization) is
     exhaustive: "inconclusive" means no complement exists but the order-8
-    obstruction does not apply.
+    obstruction does not apply.  The fingerprint of big, the quotient by
+    <center_gen> and the abelianization are the ones kept on big.
     """
     if center_gen.order() != 2:
         raise GroupError("center generator must have order 2")
@@ -787,9 +777,8 @@ def split_central_extension_check(big: PermGroup, center_gen: Permutation) -> st
             raise GroupError("center generator is not central")
     z = generate_group([center_gen], degree=big.degree)
     quotient = quotient_group(big, z)
-    big_hist = element_order_histogram(big)
-    quo_hist = element_order_histogram(quotient)
-    if big_hist.get(8, 0) > 0 and quo_hist.get(8, 0) == 0:
+    if (fingerprint(big).has_element_of_order(8)
+            and element_order_histogram(quotient).get(8, 0) == 0):
         return "nonsplit_by_order8"
     # A complement to a central C2 has index 2, so one exists iff some
     # homomorphism big -> C2 is nonzero on the central involution.  Such
@@ -800,25 +789,20 @@ def split_central_extension_check(big: PermGroup, center_gen: Permutation) -> st
     if derived.order == 1:
         ab, zbar = big, center_gen
     else:
-        ab = quotient_group(big, derived)
-        zbar = _coset_image(_coset_table(big, derived), center_gen)
-    if _in_two_divisible_part(ab, zbar):
+        ab, table = _kept_quotient(big, derived)
+        zbar = _coset_image(table, center_gen)
+    if _is_a_square(ab, zbar):
         return "inconclusive"
     return "split"
 
 
-def _in_two_divisible_part(ab: PermGroup, el: Permutation) -> bool:
-    """True iff el maps to zero in A/(2A + odd part), i.e. no C2 character sees it."""
-    squares_and_odd = set()
-    for row in ab.element_array():
-        p = Permutation(row)
-        o = p.order()
-        sq = compose(p, p)
-        squares_and_odd.add(sq.images)
-        if o % 2 == 1:
-            squares_and_odd.add(p.images)
-    sub = generate_group([Permutation(im) for im in squares_and_odd], degree=ab.degree)
-    return el in sub
+def _is_a_square(ab: PermGroup, el: Permutation) -> bool:
+    """True iff el lies in 2A for the abelian group A = ab, i.e. no C2
+    character sees it.  In an abelian group the squares form the subgroup
+    2A, and it holds every element of odd order (x = (x^((o+1)/2))^2)."""
+    rows = ab.element_array()
+    squares = np.take_along_axis(rows, rows, axis=1)  # row, then row
+    return bool(np.all(squares == np.array(el.images, dtype=np.int64), axis=1).any())
 
 
 def diagonal_quotient_stabilizer(g_table: Sequence[Sequence[int]]) -> PermGroup:

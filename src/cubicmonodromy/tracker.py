@@ -172,10 +172,9 @@ def _finish(family: FamilySpec, base: ls.SolveReport, state,
             labeling: SchlafliLabeling | None, loop, telemetry,
             identification: np.ndarray | None = None) -> TrackedPermutation:
     """Polish the endpoint fiber, match against the base fiber, package."""
-    end_lines = ls.lines_from_sheets(state)
     if identification is not None:
-        end_lines = ls.transform_lines(end_lines, identification)
-    state = ls.sheets_from_lines(end_lines)
+        state = ls.sheets_from_lines(
+            ls.transform_lines(ls.lines_from_sheets(state), identification))
     base_coeffs = family.raw_coeffs(loop.waypoints[0])
     state, _, _ = ls._polish_sheets(base_coeffs / np.abs(base_coeffs).max(), state)
     end_pl = ls.sheet_pluckers(state)

@@ -70,13 +70,12 @@ def test_degree_mismatch_rejected():
         P.generate_group([P.identity(3), P.identity(4)])
 
 
-def test_cap_falls_back_to_bsgs():
+def test_cap_falls_back_to_bsgs(monkeypatch):
+    monkeypatch.setattr(P, "MATERIALIZE_CAP", 100)
     gens = [P.from_cycles(9, [(0, 1)]), P.from_cycles(9, [tuple(range(9))])]
-    g = P.generate_group(gens, cap=100)
-    assert not g.is_materialized
-    assert g.order == 362880
     with pytest.raises(P.GroupError):
-        g.element_array()
+        P.generate_group(gens)
+    assert P.bsgs_order(gens, 9) == 362880
 
 
 def test_bsgs_matches_materialized_order():
@@ -157,9 +156,19 @@ def test_fingerprint_c2xc2():
 
 
 def test_fingerprint_histogram_sums_to_order():
-    for name in ("S3", "S4", "ASL2F3", "S3xC2_sq"):
-        fp = P.fingerprint(P.named_group(name))
+    go = P.set_stabilizer(S.weyl_e6(), S.tritangent_triples()[0])
+    center = P.centralizer(go, go)
+    groups = [P.named_group(name) for name in ("S3", "S4", "ASL2F3", "S3xC2_sq")]
+    groups += [S.weyl_e6(), P.quotient_group(go, center)]
+    assert groups[-1].degree == 576
+    for g in groups:
+        fp = P.fingerprint(g)
         assert sum(v for _, v in fp.element_order_histogram) == fp.order
+        direct: dict[int, int] = {}
+        for row in g.element_array():
+            o = P.Permutation(row).order()
+            direct[o] = direct.get(o, 0) + 1
+        assert fp.element_order_histogram == tuple(sorted(direct.items()))
 
 
 def test_fingerprint_is_kept_on_the_group(monkeypatch):
@@ -195,6 +204,21 @@ def test_pgo4p3_has_no_order_8_but_go4p3_does():
     quot = P.quotient_group(go, P.generate_group([zgen], degree=27))
     assert quot.order == 576
     assert P.fingerprint(quot) == P.fingerprint(pgo)
+
+
+def test_quotient_is_kept_on_the_group(monkeypatch):
+    go = P.set_stabilizer(S.weyl_e6(), S.tritangent_triples()[0])
+    center = P.centralizer(go, go)
+    z = next(g for g in center.elements() if g.order() == 2)
+    quot = P.quotient_group(go, P.generate_group([z]))
+    assert P.quotient_group(go, center) is quot
+    P.fingerprint(go)
+
+    def no_table(group, normal):
+        raise AssertionError("a coset table was built again")
+
+    monkeypatch.setattr(P, "_coset_table", no_table)
+    assert P.split_central_extension_check(go, z) == "nonsplit_by_order8"
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +412,22 @@ def test_group_json_roundtrip():
     assert g2.same_elements(g)
 
 
+def test_group_json_with_a_wrong_order_is_rejected():
+    data = P.named_group("S3xC2").to_json()
+    data["order"] = 24
+    with pytest.raises(P.GroupError):
+        P.PermGroup.from_json(data)
+
+
 def test_same_elements_compares_unmaterialized_groups():
     a, b, c, d = (P.Permutation(x) for x in ([1, 0, 2, 3], [0, 1, 3, 2],
                                               [1, 0, 3, 2], [2, 3, 0, 1]))
-    two_swaps = P.generate_group([a, b], cap=2)
-    klein = P.generate_group([c, d], cap=2)
-    assert not two_swaps.is_materialized and not klein.is_materialized
+    two_swaps = P.generate_group([a, b])
+    klein = P.generate_group([c, d])
     assert two_swaps.order == klein.order == 4
     assert not two_swaps.same_elements(klein)
     assert not klein.same_elements(two_swaps)
-    assert klein.same_elements(P.generate_group([d, c], cap=2))
+    assert klein.same_elements(P.generate_group([d, c]))
     assert klein.same_elements(P.generate_group([c, d]))
 
 
