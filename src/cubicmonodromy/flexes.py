@@ -172,18 +172,19 @@ class FlexSystem(SegmentSystem):
         p = self.points(state)
         coeffs = self.coeffs(t)
         a = self.tensor(t)
-        fvals = SPACE3.evaluate(coeffs, p)
-        grads = SPACE3.gradient(coeffs, p)  # (n,3)
+        mono, gmono = SPACE3.monomial_tables(p)  # (n,10), (n,6)
+        fvals = mono @ coeffs
         m = np.einsum("ijk,nk->nij", a, p)
         hvals = np.linalg.det(m)
         adj = _adjugate3(m)
         r = np.stack([fvals, hvals], axis=-1)
         j = np.empty((len(state), 2, 2), dtype=complex)
-        j[:, 0] = grads[:, :2]
+        _, grad_ops = SPACE3.gradient_ops()
         for k in range(2):
+            j[:, 0, k] = gmono @ (grad_ops[k] @ coeffs)
             j[:, 1, k] = np.einsum("nij,ji->n", adj, a[:, :, k])
         # t-derivative: coefficient difference for F, tensor difference for H
-        ft = SPACE3.evaluate(self.c_diff, p)
+        ft = mono @ self.c_diff
         da = self.a_to - self.a_from
         mdot = np.einsum("ijk,nk->nij", da, p)
         ht = np.einsum("nij,nji->n", adj, mdot)
@@ -206,17 +207,24 @@ class FlexSystem(SegmentSystem):
         return ls.min_pairwise_distance(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
+def _adjugate_tables():
+    """Gather tables for adj(m)[i, j] = (-1)^(i+j) (m[r0, c0] m[r1, c1] -
+    m[r0, c1] m[r1, c0]), with r0 < r1 the rows other than j and c0 < c1
+    the columns other than i."""
+    i, j = np.indices((3, 3))
+    other = np.array([[1, 2], [0, 2], [0, 1]])
+    r0, r1, c0, c1 = other[j, 0], other[j, 1], other[i, 0], other[i, 1]
+    return np.stack([r0, r1, r0, r1]), np.stack([c0, c1, c1, c0]), (-1.0) ** (i + j)
+
+
+_ADJ_ROWS, _ADJ_COLS, _ADJ_SIGN = _adjugate_tables()
+
+
 def _adjugate3(m: np.ndarray) -> np.ndarray:
-    """Batched adjugate of 3x3 matrices."""
-    out = np.empty_like(m)
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = m[..., r[0], c[0]] * m[..., r[1], c[1]] - \
-                m[..., r[0], c[1]] * m[..., r[1], c[0]]
-            out[..., i, j] = (-1) ** (i + j) * minor
-    return out
+    """Batched adjugate of 3x3 matrices, C-contiguous."""
+    g = m[..., _ADJ_ROWS, _ADJ_COLS]  # (..., 4, 3, 3)
+    minor = g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
+    return np.ascontiguousarray(_ADJ_SIGN * minor)
 
 
 def _state_from_points(points: np.ndarray) -> np.ndarray:

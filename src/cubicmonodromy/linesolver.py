@@ -324,13 +324,12 @@ class LineSystem(SegmentSystem):
 
     def res_jac_dt(self, state: SheetState, t: float):
         pts = self._points(state)
-        mono = SPACE.monomial_values(pts)  # (n,4,20)
+        mono, gmono = SPACE.monomial_tables(pts)  # (n,4,20), (n,4,10)
         coeffs = self.coeffs(t)
         vals = mono @ coeffs
         r = vals @ _VINV.T
         rt = (mono @ self.c_diff) @ _VINV.T
-        grad_space, grad_ops = SPACE.gradient_ops()
-        gmono = grad_space.monomial_values(pts)  # (n,4,10)
+        _, grad_ops = SPACE.gradient_ops()
         grads = np.stack([gmono @ (op @ coeffs) for op in grad_ops], axis=-1)
         n = len(state.charts)
         rows = np.arange(n)[:, None]

@@ -6,7 +6,9 @@ or an affine image of family parameters), so the tracker below handles one
 batched predictor/corrector loop for a system whose residual and Jacobian
 are supplied by a callback.  The predictor is classical 4th-order
 Runge-Kutta on the Davidenko equation; the corrector is at most four
-Newton iterations to a relative tolerance of 1e-12.  A fresh path starts
+Newton iterations to a relative tolerance of 1e-12.  A rejected attempt
+retries from the same point and reuses its first Runge-Kutta stage, so
+a rejection costs one chart-system evaluation less.  A fresh path starts
 at step 0.05; a rejected step shrinks by the factor 0.4, an accepted one
 grows by 1.7.  These are the module constants below; ``TrackOptions``
 holds only what callers set differently: the step cap (0.2 for solves,
@@ -42,7 +44,12 @@ class SheetCollisionError(RuntimeError):
 
 
 class FormSpace:
-    """Dense homogeneous forms of fixed degree, graded-lex monomial order."""
+    """Dense homogeneous forms of fixed degree, graded-lex monomial order.
+
+    A monomial table is the product, variable by variable from ones, of rows
+    gathered from one table of coordinate powers; ``monomial_tables`` takes
+    the degree-d and the degree-(d-1) table from one such gather.
+    """
 
     def __init__(self, nvars: int, degree: int):
         self.nvars = nvars
@@ -52,16 +59,35 @@ class FormSpace:
         self.dim = len(self.monomials)
         self.exponents = np.array(self.monomials, dtype=np.int64)
         self._grad_ops = None
+        # rows of the power table per variable: row v (degree + 1) + e is x_v^e
+        offsets = (degree + 1) * np.arange(nvars)[:, None]
+        lower = np.array(_monomials(nvars, degree - 1), dtype=np.int64).reshape(-1, nvars)
+        self._rows = self.exponents.T + offsets
+        self._pair_rows = np.concatenate([self._rows, lower.T + offsets], axis=1)
 
     def monomial_values(self, points: np.ndarray) -> np.ndarray:
         """Values of every monomial at points of shape (..., nvars)."""
         pts = as_complex(points)
-        pw = np.ones(pts.shape[:-1] + (self.nvars, self.degree + 1), dtype=pts.dtype)
+        return _table(self._products(pts, self._rows), pts.shape[:-1])
+
+    def monomial_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The degree-d table and the degree-(d-1) table of ``gradient_ops``
+        at points of shape (..., nvars); each equals its ``monomial_values``."""
+        pts = as_complex(points)
+        vals = self._products(pts, self._pair_rows)
+        lead = pts.shape[:-1]
+        return _table(vals[:self.dim], lead), _table(vals[self.dim:], lead)
+
+    def _products(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Products of the gathered power-table rows, shape (rows.shape[1], points)."""
+        flat = pts.reshape(-1, self.nvars).T
+        pw = np.ones((self.nvars, self.degree + 1, flat.shape[1]), dtype=pts.dtype)
         for k in range(1, self.degree + 1):
-            pw[..., k] = pw[..., k - 1] * pts
-        vals = np.ones(pts.shape[:-1] + (self.dim,), dtype=pts.dtype)
+            pw[:, k] = pw[:, k - 1] * flat
+        gathered = pw.reshape(-1, flat.shape[1])[rows]  # (nvars, monomials, points)
+        vals = np.ones(gathered.shape[1:], dtype=pts.dtype)
         for v in range(self.nvars):
-            vals = vals * pw[..., v, self.exponents[:, v]]
+            vals = vals * gathered[v]
         return vals
 
     def evaluate(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -130,6 +156,12 @@ def as_complex(x) -> np.ndarray:
     """``x`` as a ``clongdouble`` array if it is long double, else as complex128."""
     x = np.asarray(x)
     return np.asarray(x, dtype=np.clongdouble if x.dtype.char in "gG" else complex)
+
+
+def _table(vals: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """A (monomials, points) product table as shape lead + (monomials,),
+    C-contiguous: on strided operands BLAS takes another summation order."""
+    return np.ascontiguousarray(vals.T).reshape(lead + (len(vals),))
 
 
 def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -302,7 +334,10 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
     no step.  With ``polish=False`` the final Newton polish at t=1 and the
     conditioning estimate are skipped, for a segment that another segment
     of the same path follows.  Raises PathTrackingError when the step
-    underflows and SheetCollisionError when two sheets merge.
+    underflows and SheetCollisionError when two sheets merge.  A rejected
+    attempt retries from the same (state, t), so it reuses its first
+    Runge-Kutta stage; only an accepted step (or a failed stage) makes the
+    next attempt recompute it.
     """
     opts = opts or TrackOptions()
     telemetry = telemetry or TrackTelemetry()
@@ -312,9 +347,11 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
     else:
         proposal = min(telemetry.step / length, opts.h_max)
     t = 0.0 if length > 0 else 1.0
+    k1 = None
     while t < 1.0:
         h = min(proposal, 1.0 - t)
-        k1 = _davidenko(system, state, t)
+        if k1 is None:
+            k1 = _davidenko(system, state, t)
         accepted = None
         if k1 is not None:
             k2 = _davidenko(system, system.update(state, 0.5 * h * k1), t + 0.5 * h)
@@ -332,6 +369,7 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
                 raise PathTrackingError(f"step size underflow at t={t:.6g}")
             continue
         state = system.normalize(accepted)
+        k1 = None
         t += h
         telemetry.steps += 1
         if opts.collision_tol is not None:

@@ -470,8 +470,7 @@ def _kept_quotient(group: PermGroup, normal: PermGroup) -> tuple[PermGroup, tupl
         if n_cosets * normal.order != group.order:
             raise GroupError("coset decomposition inconsistent")
         qgens = [_coset_image(table, g) for g in group.generators]
-        quotient = generate_group(_reduced_generators([q.images for q in qgens], n_cosets)
-                                  or [identity(n_cosets)], degree=n_cosets)
+        quotient = generate_group(qgens or [identity(n_cosets)], degree=n_cosets)
         group._quotients[key] = (quotient, table)
     return group._quotients[key]
 

@@ -174,3 +174,21 @@ def test_flex_monodromy_campaign():
             continue
         for t in triples:
             assert frozenset(tp.perm.images[i] for i in t) in triples
+
+
+def test_adjugate_matches_cofactors():
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(11, 3, 3)) + 1j * rng.normal(size=(11, 3, 3))
+    m[rng.uniform(size=m.shape) < 0.2] = 0
+    ref = np.empty_like(m)
+    for i in range(3):
+        for j in range(3):
+            r = [k for k in range(3) if k != j]
+            c = [k for k in range(3) if k != i]
+            minor = m[:, r[0], c[0]] * m[:, r[1], c[1]] - m[:, r[0], c[1]] * m[:, r[1], c[0]]
+            ref[:, i, j] = (-1) ** (i + j) * minor
+    adj = FX._adjugate3(m)
+    assert adj.flags.c_contiguous
+    assert np.array_equal(adj, ref)
+    det = np.linalg.det(m)[:, None, None]
+    assert np.abs(adj @ m - det * np.eye(3)).max() < 1e-12 * np.abs(m).max() ** 3

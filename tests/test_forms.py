@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cubicmonodromy import forms as F
+from cubicmonodromy.numeric import form_space
 
 
 def test_monomial_order_is_graded_lex():
@@ -162,3 +163,32 @@ def test_json_roundtrip():
     form = F.family_s4(2.5)
     again = F.CubicForm.from_json(form.to_json())
     assert np.allclose(form.coefficients, again.coefficients)
+
+
+def _per_variable_products(points, space):
+    """Reference monomial table: one power table, one product per variable."""
+    pw = np.ones(points.shape[:-1] + (space.nvars, space.degree + 1), dtype=points.dtype)
+    for k in range(1, space.degree + 1):
+        pw[..., k] = pw[..., k - 1] * points
+    vals = np.ones(points.shape[:-1] + (space.dim,), dtype=points.dtype)
+    for v in range(space.nvars):
+        vals = vals * pw[..., v, space.exponents[:, v]]
+    return vals
+
+
+@pytest.mark.parametrize("nvars", [4, 3])
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_monomial_tables_match_per_variable_products(nvars, dtype):
+    rng = np.random.default_rng(nvars)
+    points = rng.normal(size=(7, 4, nvars)) + 1j * rng.normal(size=(7, 4, nvars))
+    points[rng.uniform(size=points.shape) < 0.3] = 0
+    points = points.astype(dtype)
+    space = form_space(nvars, 3)
+    lower, _ = space.gradient_ops()
+    mono, gmono = space.monomial_tables(points)
+    for table, ref in ((mono, _per_variable_products(points, space)),
+                       (gmono, _per_variable_products(points, lower)),
+                       (space.monomial_values(points), _per_variable_products(points, space))):
+        assert table.dtype == dtype
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, ref)

@@ -241,3 +241,15 @@ def test_forced_escalation_polishes_every_sheet_in_long_double(monkeypatch):
     worst = max(_projective_distance(a.plucker, b.plucker)
                 for a, b in zip(plain.lines, forced.lines))
     assert worst < 1e-12
+
+
+def test_rejected_steps_reuse_their_first_stage(monkeypatch):
+    # a rejected attempt retries from the same (state, t): its first
+    # Runge-Kutta stage is kept, one chart evaluation less per rejection
+    calls = []
+    res_jac_dt = L.LineSystem.res_jac_dt
+    monkeypatch.setattr(L.LineSystem, "res_jac_dt",
+                        lambda self, state, t: calls.append(t) or res_jac_dt(self, state, t))
+    tel = L.solve_lines(F.random_cubic(np.random.default_rng(0)), seed=0).telemetry
+    assert (tel.steps, tel.rejected) == (27, 14)
+    assert len(calls) == 318 - 14
