@@ -18,10 +18,10 @@ import numpy as np
 
 from .forms import FamilySpec
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, form_space, random_unitary, track_segment)
+                      TrackOptions, form_space, matvec, random_unitary, track_segment)
 from . import linesolver as ls
 from .perms import Permutation
-from .tracker import TrackedPermutation, track_polyline
+from .tracker import LoopRun, TrackedPermutation
 
 SPACE3 = form_space(3, 3)
 
@@ -149,62 +149,66 @@ class FlexSet:
 class FlexSystem(SegmentSystem):
     """{F=0, det D^2 F=0} along c(t), at the points (u : v : 1)."""
 
+    LANE_FIELDS = SegmentSystem.LANE_FIELDS + ("a_from", "a_to", "a_diff")
+
     def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
         super().__init__(c_from, c_to)
         self.a_from = SPACE3.third_derivative_tensor(self.c_from)
         self.a_to = SPACE3.third_derivative_tensor(self.c_to)
+        self.a_diff = self.a_to - self.a_from
 
-    def tensor(self, t: float) -> np.ndarray:
+    def tensor(self, t) -> np.ndarray:
+        t = np.asarray(t)[..., None, None, None]
         return (1 - t) * self.a_from + t * self.a_to
 
     def points(self, state: np.ndarray) -> np.ndarray:
-        return np.concatenate([state, np.ones((len(state), 1))], axis=1)
+        return np.concatenate([state, np.ones(state.shape[:-1] + (1,))], axis=-1)
 
-    def residual(self, state: np.ndarray, t: float) -> np.ndarray:
+    def residual(self, state: np.ndarray, t) -> np.ndarray:
         p = self.points(state)
-        coeffs = self.coeffs(t)
-        fvals = SPACE3.evaluate(coeffs, p)
-        m = np.einsum("ijk,nk->nij", self.tensor(t), p)
-        hvals = np.linalg.det(m)
+        fvals = matvec(SPACE3.monomial_values(p), self.coeffs(t))
+        hvals = np.linalg.det(np.einsum("...ijk,...nk->...nij", self.tensor(t), p))
         return np.stack([fvals, hvals], axis=-1)
 
-    def res_jac_dt(self, state: np.ndarray, t: float):
+    def res_jac_dt(self, state: np.ndarray, t):
         p = self.points(state)
         coeffs = self.coeffs(t)
         a = self.tensor(t)
-        mono, gmono = SPACE3.monomial_tables(p)  # (n,10), (n,6)
-        fvals = mono @ coeffs
-        m = np.einsum("ijk,nk->nij", a, p)
-        hvals = np.linalg.det(m)
+        mono, gmono = SPACE3.monomial_tables(p)  # (..,n,10), (..,n,6)
+        m = np.einsum("...ijk,...nk->...nij", a, p)
         adj = _adjugate3(m)
-        r = np.stack([fvals, hvals], axis=-1)
-        j = np.empty((len(state), 2, 2), dtype=complex)
+        r = np.stack([matvec(mono, coeffs), np.linalg.det(m)], axis=-1)
+        j = np.empty(r.shape + (2,), dtype=complex)
         _, grad_ops = SPACE3.gradient_ops()
         for k in range(2):
-            j[:, 0, k] = gmono @ (grad_ops[k] @ coeffs)
-            j[:, 1, k] = np.einsum("nij,ji->n", adj, a[:, :, k])
+            j[..., 0, k] = matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
+            # tr(adj a_k) per sheet, against a contiguous copy of a_k per sheet:
+            # bit for bit the one-lane einsum "nij,ji->n", which a view is not
+            a_k = np.ascontiguousarray(np.broadcast_to(a[..., None, :, :, k], adj.shape))
+            j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k)
         # t-derivative: coefficient difference for F, tensor difference for H
-        ft = mono @ self.c_diff
-        da = self.a_to - self.a_from
-        mdot = np.einsum("ijk,nk->nij", da, p)
-        ht = np.einsum("nij,nji->n", adj, mdot)
-        rt = np.stack([ft, ht], axis=-1)
+        mdot = np.einsum("...ijk,...nk->...nij", self.a_diff, p)
+        ht = np.einsum("...nij,...nji->...n", adj, mdot)
+        rt = np.stack([matvec(mono, self.c_diff), ht], axis=-1)
         return r, j, rt
 
     def update(self, state: np.ndarray, delta: np.ndarray) -> np.ndarray:
         return state + delta
 
-    def scale(self, state: np.ndarray, t: float) -> np.ndarray:
-        cnorm = np.abs(self.coeffs(t)).max()
-        nrm = 1.0 + np.abs(state).max(axis=1)
-        return max(cnorm, (6 * cnorm) ** 3) * nrm**3
+    def scale(self, state: np.ndarray, t) -> np.ndarray:
+        cnorm = np.abs(self.coeffs(t)).max(axis=-1)
+        # per lane in scalar arithmetic, as one lane computes it: an array
+        # power need not round like the scalar one
+        top = np.array([max(c, (6 * c) ** 3) for c in cnorm.ravel()]).reshape(cnorm.shape)
+        nrm = 1.0 + np.abs(state).max(axis=-1)
+        return top[..., None] * nrm**3
 
     def param_scale(self, state: np.ndarray) -> np.ndarray:
-        return 1.0 + np.abs(state).max(axis=1)
+        return 1.0 + np.abs(state).max(axis=-1)
 
-    def collision_gap(self, state: np.ndarray) -> float:
+    def collision_gap(self, state: np.ndarray):
         pts = self.points(state)
-        return ls.min_pairwise_distance(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        return ls.min_pairwise_distance(pts / np.linalg.norm(pts, axis=-1, keepdims=True))
 
 
 def _adjugate_tables():
@@ -380,12 +384,12 @@ def flexp9_family():
     )
 
 
-def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0) -> TrackedPermutation:
+def flex_loop_run(loop, base: FlexSet, frame_seed: int = 0) -> LoopRun:
     """Continue the nine flexes around a loop in coefficient space.
 
     The whole loop is tracked in one random unitary frame (composition
     with the frame is linear on coefficients, so segments stay segments).
-    Returns a tracker.TrackedPermutation of degree 9.
+    Its permutation is a tracker.TrackedPermutation of degree 9.
     """
     rng = np.random.default_rng(frame_seed)
     frame = random_unitary(3, rng)
@@ -394,10 +398,19 @@ def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0) -> TrackedPermutat
     coeffs = [SPACE3.compose_matrix(loop.family.raw_coeffs(w), frame)
               for w in loop.waypoints]
     systems = [FlexSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
-    state, telemetry = track_polyline(systems, state)
-    end_pts = np.array([normalize_point(p) for p in (systems[-1].points(state) @ frame.T)])
-    u_end = end_pts / np.linalg.norm(end_pts, axis=1, keepdims=True)
-    u_base = base.points / np.linalg.norm(base.points, axis=1, keepdims=True)
-    matching = ls.match_lines(u_end, u_base)
-    return TrackedPermutation.from_telemetry(Permutation(matching),
-                                             ls.min_pairwise_distance(u_end), loop, telemetry)
+
+    def finish(state, telemetry) -> TrackedPermutation:
+        end_pts = np.array([normalize_point(p)
+                            for p in (systems[-1].points(state) @ frame.T)])
+        u_end = end_pts / np.linalg.norm(end_pts, axis=1, keepdims=True)
+        u_base = base.points / np.linalg.norm(base.points, axis=1, keepdims=True)
+        matching = ls.match_lines(u_end, u_base)
+        return TrackedPermutation.from_telemetry(
+            Permutation(matching), ls.min_pairwise_distance(u_end), loop, telemetry)
+
+    return LoopRun(systems, state, finish)
+
+
+def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0) -> TrackedPermutation:
+    """Track one flex loop alone: see :func:`flex_loop_run`."""
+    return flex_loop_run(loop, base, frame_seed).track()

@@ -15,7 +15,9 @@ parameters grow, so lines passing near chart infinity stay tracked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -23,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from . import schlafli
 from .forms import SPACE, CubicForm, fermat_cubic
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, TrackTelemetry, as_complex, random_unitary,
+                      TrackOptions, TrackTelemetry, as_complex, matvec, random_unitary,
                       track_segment)
 
 # free coordinate pairs of the six charts; dependents are the complements
@@ -34,6 +36,23 @@ CHART_DEP = np.array([[2, 3], [1, 3], [1, 2], [0, 3], [0, 2], [0, 1]])
 _SAMPLES = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=complex)
 _VANDER = np.array([[s ** (3 - m) * t ** m for m in range(4)] for s, t in _SAMPLES])
 _VINV = np.linalg.inv(_VANDER)
+
+_S, _T = _SAMPLES.T.copy()
+
+# Per-chart gather tables, as flat offsets into a sheet's block of values.
+# Coordinate v of a chart takes slot _POINT_COLS[chart, v] of (free0,
+# free1, dep0, dep1).  A sheet's sample points come from the rows s, t,
+# a s + b t, c s + d t over the four samples; its basis from the rows
+# (1, 0, a, c) and (0, 1, b, d); its Jacobian columns d/da, d/db, d/dc,
+# d/dd from dF/dx_v at each sample, times s, t, s, t.
+_POINT_COLS = np.empty((6, 4), dtype=np.int64)
+_POINT_COLS[np.arange(6)[:, None], np.hstack([CHART_FREE, CHART_DEP])] = np.arange(4)
+_POINT_GATHER = 4 * _POINT_COLS[:, None, :] + np.arange(4)[:, None]  # [chart, sample, v]
+_BASIS_GATHER = 4 * np.arange(2)[:, None] + _POINT_COLS[:, None, :]  # [chart, row, v]
+_JAC_GATHER = 4 * np.arange(4)[:, None] + CHART_DEP[:, None, [0, 0, 1, 1]]  # [chart, sample, col]
+_JAC_ST = _SAMPLES[:, [0, 1, 0, 1]]
+# coefficients to the coefficients of dF/dx_v, one (10, 20) matrix per v
+_GRAD_OPS = np.array(SPACE.gradient_ops()[1])
 
 # Plucker coordinate order: (01, 02, 03, 12, 13, 23)
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -187,15 +206,18 @@ def incidence_graph(lines: list[Line]) -> np.ndarray:
 
 
 def chordal_distance_matrix(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Chordal distances between unit projective Plucker vectors."""
-    overlap = np.abs(pa @ pb.conj().T)
+    """Chordal distances between unit projective Plucker vectors (per lane)."""
+    overlap = np.abs(pa @ pb.conj().swapaxes(-1, -2))
     return np.sqrt(np.clip(1.0 - overlap**2, 0.0, None))
 
 
-def min_pairwise_distance(pluckers: np.ndarray) -> float:
+def min_pairwise_distance(pluckers: np.ndarray):
+    """The least chordal distance between two rows: a float, or one per lane."""
     d = chordal_distance_matrix(pluckers, pluckers)
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    diag = np.arange(d.shape[-1])
+    d[..., diag, diag] = np.inf
+    gap = d.min(axis=(-2, -1))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def match_lines(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -277,69 +299,75 @@ def fermat_start_lines() -> list[Line]:
 
 @dataclass
 class SheetState:
-    charts: np.ndarray  # (n,) int
-    params: np.ndarray  # (n,4) complex
+    """Charts and chart parameters of the sheets, with optional leading lane axes."""
+
+    charts: np.ndarray  # (..., n) int
+    params: np.ndarray  # (..., n, 4) complex
+
+
+def _chart_gather(charts: np.ndarray, blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each sheet's block of ``blocks`` (one block per sheet, in C order)
+    gathered by the per-chart ``table`` of the sheet's chart."""
+    index = np.take(table, charts, axis=0) + _block_offsets(charts.shape, table[0].size)
+    return blocks.reshape(-1)[index]
+
+
+@lru_cache(maxsize=None)
+def _block_offsets(shape: tuple[int, ...], block: int) -> np.ndarray:
+    """Flat offsets of one block of ``block`` values per sheet, shape + (1, 1)."""
+    offsets = block * np.arange(math.prod(shape)).reshape(shape + (1, 1))
+    offsets.setflags(write=False)  # shared by every call with this shape
+    return offsets
 
 
 def sheet_pluckers(state: SheetState) -> np.ndarray:
-    """Unit Plucker vectors of all sheets at once, shape (n, 6).
+    """Unit Plucker vectors of all sheets at once, shape (..., n, 6).
 
     Unlike :func:`plucker_from_basis` the phase is left free: chordal
     distances and the Hungarian matching do not depend on it.
     """
-    n = len(state.charts)
-    rows = np.arange(n)
-    free, dep = CHART_FREE[state.charts], CHART_DEP[state.charts]
-    basis = np.zeros((n, 2, 4), dtype=complex)
-    basis[rows, 0, free[:, 0]] = 1
-    basis[rows, 1, free[:, 1]] = 1
-    basis[rows, :, dep[:, 0]] = state.params[:, 0:2]  # a, b
-    basis[rows, :, dep[:, 1]] = state.params[:, 2:4]  # c, d
-    v1, v2 = basis[:, 0], basis[:, 1]
-    p = v1[:, _PLUCKER_I] * v2[:, _PLUCKER_J] - v1[:, _PLUCKER_J] * v2[:, _PLUCKER_I]
-    return p / np.linalg.norm(p, axis=1, keepdims=True)
+    params = state.params
+    rows = np.zeros(params.shape[:-1] + (2, 4), dtype=complex)  # (1, 0, a, c), (0, 1, b, d)
+    rows[..., 0, 0] = rows[..., 1, 1] = 1
+    rows[..., 2:] = params.reshape(params.shape[:-1] + (2, 2)).swapaxes(-1, -2)
+    basis = _chart_gather(state.charts, rows, _BASIS_GATHER)
+    v1, v2 = basis[..., 0, :], basis[..., 1, :]
+    p = v1[..., _PLUCKER_I] * v2[..., _PLUCKER_J] - v1[..., _PLUCKER_J] * v2[..., _PLUCKER_I]
+    return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
 class LineSystem(SegmentSystem):
     """27-line chart system along c(t) = (1-t) c_from + t c_to."""
 
+    @staticmethod
+    def stack_states(states: list[SheetState]) -> SheetState:
+        return SheetState(charts=np.array([s.charts for s in states]),
+                          params=np.array([s.params for s in states]))
+
     def _points(self, state: SheetState) -> np.ndarray:
-        n = len(state.charts)
-        free = CHART_FREE[state.charts]  # (n,2)
-        dep = CHART_DEP[state.charts]
-        a, b, c, d = as_complex(state.params).T
-        pts = np.zeros((n, 4, 4), dtype=a.dtype)
-        rows = np.arange(n)[:, None]
-        samples = np.arange(4)[None, :]
-        s, t = _SAMPLES[:, 0], _SAMPLES[:, 1]
-        pts[rows, samples, free[:, 0][:, None]] = s[None, :]
-        pts[rows, samples, free[:, 1][:, None]] = t[None, :]
-        pts[rows, samples, dep[:, 0][:, None]] = a[:, None] * s + b[:, None] * t
-        pts[rows, samples, dep[:, 1][:, None]] = c[:, None] * s + d[:, None] * t
-        return pts
+        """The sample points s v1 + t v2 of every sheet, shape (..., n, 4, 4)."""
+        params = as_complex(state.params)
+        pairs = params.reshape(params.shape[:-1] + (2, 2))  # rows (a, b) and (c, d)
+        rows = np.empty(params.shape[:-1] + (4, 4), dtype=params.dtype)
+        rows[..., 0, :] = _S
+        rows[..., 1, :] = _T
+        np.add(pairs[..., :1] * _S, pairs[..., 1:] * _T, out=rows[..., 2:, :])
+        return _chart_gather(state.charts, rows, _POINT_GATHER)
 
-    def residual(self, state: SheetState, t: float) -> np.ndarray:
-        vals = SPACE.evaluate(self.coeffs(t), self._points(state))
-        return vals @ _VINV.T
+    def residual(self, state: SheetState, t) -> np.ndarray:
+        mono = SPACE.monomial_values(self._points(state))
+        return matvec(mono, self.coeffs(t)) @ _VINV.T
 
-    def res_jac_dt(self, state: SheetState, t: float):
-        pts = self._points(state)
-        mono, gmono = SPACE.monomial_tables(pts)  # (n,4,20), (n,4,10)
+    def res_jac_dt(self, state: SheetState, t):
+        mono, gmono = SPACE.monomial_tables(self._points(state))  # (..,n,4,20), (..,n,4,10)
         coeffs = self.coeffs(t)
-        vals = mono @ coeffs
-        r = vals @ _VINV.T
-        rt = (mono @ self.c_diff) @ _VINV.T
-        _, grad_ops = SPACE.gradient_ops()
-        grads = np.stack([gmono @ (op @ coeffs) for op in grad_ops], axis=-1)
-        n = len(state.charts)
-        rows = np.arange(n)[:, None]
-        samples = np.arange(4)[None, :]
-        dep = CHART_DEP[state.charts]
-        g0 = grads[rows, samples, dep[:, 0][:, None]]  # (n,4)
-        g1 = grads[rows, samples, dep[:, 1][:, None]]
-        s, tt = _SAMPLES[:, 0], _SAMPLES[:, 1]
-        dvals = np.stack([g0 * s, g0 * tt, g1 * s, g1 * tt], axis=-1)  # (n,4,4)
-        j = np.einsum("mr,nrp->nmp", _VINV, dvals)
+        r = matvec(mono, coeffs) @ _VINV.T
+        rt = matvec(mono, self.c_diff) @ _VINV.T
+        # dF/dx_v at every sample, one matrix by vector product per lane and v
+        lanes, n = gmono.shape[:-3], gmono.shape[-3]
+        cols = gmono.reshape(lanes + (1, 4 * n, 10)) @ (_GRAD_OPS @ coeffs[..., None, :, None])
+        grads = np.moveaxis(cols.reshape(lanes + (4, n, 4)), -3, -1)  # (..., n, 4, 4)
+        j = _VINV @ (_chart_gather(state.charts, grads, _JAC_GATHER) * _JAC_ST)
         return r, j, rt
 
     def update(self, state: SheetState, delta: np.ndarray) -> SheetState:
@@ -356,15 +384,15 @@ class LineSystem(SegmentSystem):
             charts[k], params[k] = best_chart(basis)
         return SheetState(charts=charts, params=params)
 
-    def scale(self, state: SheetState, t: float) -> np.ndarray:
-        cnorm = np.abs(self.coeffs(t)).max()
-        height = 1.0 + np.abs(state.params).max(axis=1)
-        return cnorm * height**3
+    def scale(self, state: SheetState, t) -> np.ndarray:
+        cnorm = np.abs(self.coeffs(t)).max(axis=-1)
+        height = 1.0 + np.abs(state.params).max(axis=-1)
+        return cnorm[..., None] * height**3
 
     def param_scale(self, state: SheetState) -> np.ndarray:
-        return 1.0 + np.abs(state.params).max(axis=1)
+        return 1.0 + np.abs(state.params).max(axis=-1)
 
-    def collision_gap(self, state: SheetState) -> float:
+    def collision_gap(self, state: SheetState):
         return min_pairwise_distance(sheet_pluckers(state))
 
 

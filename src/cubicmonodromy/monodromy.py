@@ -3,7 +3,11 @@
 A campaign solves a family member once, then tracks loops - petals at
 known punctures, twisted loops when the family has a residual parameter
 symmetry, and random polygon/lasso loops - until the generated group
-order is stable for ten consecutive loops or the budget runs out.  The
+order is stable for ten consecutive loops or the budget runs out.  Up to
+``numeric.LANES`` loops are tracked at once, as lanes of one batch of
+chart-system evaluations; their results are used in stream order, and a
+loop starts only once no stop can come before it, so the groups, the
+failures and the stop are those of tracking the loops one by one.  The
 tracked group is the coarse-monodromy surrogate; joined with the deck
 group (the symmetry action on the lines) it surrogates the stack
 monodromy.  Claims pair campaign outputs with oracle groups and
@@ -20,6 +24,7 @@ from . import flexes as fx
 from . import linesolver as ls
 from . import perms, schlafli, tracker
 from .forms import FamilySpec, get_family
+from .numeric import LANES, step_paths
 from .perms import PermGroup, Permutation
 from .surfaces import symmetry_permutation
 
@@ -98,32 +103,65 @@ class MonodromyReport:
 
 
 def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
-    """Drain loops from the stream until plateau or budget.
+    """Track loops from the stream until plateau or budget, ``LANES`` at once.
 
-    ``loop_stream`` yields (description, thunk) pairs; thunks return a
-    TrackedPermutation or raise.  Returns (tracked list, failures,
+    ``loop_stream`` yields (description, thunk) pairs; a thunk returns a
+    ``tracker.LoopRun`` or raises.  Loop i (counted from 1) starts only
+    when no stop can come before it: i <= budget and i <= max(c + PLATEAU
+    - s, mandatory + 1), where c is the last loop committed in stream
+    order and s its stable count.  Results commit in stream order, so the
+    chain, the failures and the stop are those of one loop at a time, and
+    no loop past the stop is tracked.  Returns (tracked list, failures,
     plateau_reached).
     """
     chain = perms.StabilizerChain(degree)
     tracked: list[tracker.TrackedPermutation] = []
     failures: list[str] = []
-    stable = 0
-    attempts = 0
-    for desc, thunk in loop_stream:
-        if attempts >= budget:
-            break
-        attempts += 1
-        try:
-            tp = thunk()
-        except Exception as exc:  # recorded, loop retried by the stream
-            failures.append(f"{desc}: {type(exc).__name__}: {exc}")
-            continue
-        tracked.append(tp)
-        grew = chain.extend(np.array(tp.perm.images))
-        stable = 0 if grew else stable + 1
-        if attempts > mandatory and stable >= PLATEAU:
-            return tracked, failures, True
-    return tracked, failures, False
+    stable = committed = started = 0
+    lanes = []  # (index, description, run, path) of the loops in flight
+    ended: dict[int, tuple[str, object]] = {}  # index -> (description, result or exception)
+    loops = iter(loop_stream)
+    while True:
+        while committed + 1 in ended:
+            committed += 1
+            desc, out = ended.pop(committed)
+            if isinstance(out, Exception):  # recorded, loop retried by the stream
+                failures.append(f"{desc}: {type(out).__name__}: {out}")
+                continue
+            tracked.append(out)
+            grew = chain.extend(np.array(out.perm.images))
+            stable = 0 if grew else stable + 1
+            if committed > mandatory and stable >= PLATEAU:
+                return tracked, failures, True
+        reach = min(budget, max(committed + PLATEAU - stable, mandatory + 1))
+        while len(lanes) < LANES and started < reach:
+            item = next(loops, None)
+            if item is None:  # the stream has ended: no loop past this one
+                budget = started
+                break
+            started += 1
+            desc, thunk = item
+            try:
+                run = thunk()
+            except Exception as exc:
+                ended[started] = (desc, exc)
+                continue
+            lanes.append((started, desc, run, run.path()))
+        if not lanes:
+            if committed + 1 in ended:
+                continue
+            return tracked, failures, False
+        step_paths([lane[3] for lane in lanes])
+        for index, desc, run, path in lanes:
+            if not path.done:
+                continue
+            try:
+                if path.error is not None:
+                    raise path.error
+                ended[index] = (desc, run.finish(path.state, path.telemetry))
+            except Exception as exc:
+                ended[index] = (desc, exc)
+        lanes = [lane for lane in lanes if not lane[3].done]
 
 
 def run_campaign(c: Campaign) -> MonodromyReport:
@@ -141,14 +179,14 @@ def run_campaign(c: Campaign) -> MonodromyReport:
         seed_step = 99991
 
         def track(loop, seed):
-            return fx.track_flex_loop(loop, base, frame_seed=seed)
+            return fx.flex_loop_run(loop, base, frame_seed=seed)
     else:
         base = ls.solve_lines(form, seed=c.seed)
         labeling = schlafli.label_lines(ls.incidence_graph(base.lines))
         seed_step = 100003
 
         def track(loop, seed):
-            return tracker.track_loop(loop, base, labeling)
+            return tracker.loop_run(loop, base, labeling)
 
     deck_group = None
     deck_perms: list[Permutation] = []
@@ -162,14 +200,14 @@ def run_campaign(c: Campaign) -> MonodromyReport:
         for petal in tracker.petal_loops(c.family, c.basepoint[0]):
             mandatory.append((
                 f"petal@{petal.detail['puncture']:.4g}",
-                (lambda p=petal: tracker.track_loop(p, base, labeling)),
+                (lambda p=petal: tracker.loop_run(p, base, labeling)),
             ))
     if c.include_twists:
         for action in c.family.twist_actions:
             spec = tracker.twisted_loop_for_action(c.family, c.basepoint, action)
             mandatory.append((
                 f"twist:{action.name}",
-                (lambda s=spec: tracker.track_twisted_loop(s, base, labeling)),
+                (lambda s=spec: tracker.twisted_loop_run(s, base, labeling)),
             ))
 
     def stream():

@@ -19,6 +19,14 @@ A loop is a polyline of such segments, tracked with one step controller:
 its ``TrackTelemetry`` keeps the last proposed step in coefficient
 distance, and each segment starts from that step rescaled to its own
 length.  Only the last segment of a loop ends in a Newton polish.
+
+:func:`step_paths` is the one stepping routine.  It takes one step
+attempt for several paths (a ``Path`` each: a lane) as one batch: each
+Runge-Kutta stage and each Newton iteration is one evaluation of the
+lanes' systems stacked along a leading lane axis.  Every lane keeps its
+own segment, t, step, first stage, Newton acceptance and telemetry, and
+computes bit for bit what it computes alone; :func:`track_segment` is the
+one-lane case.  A campaign steps up to ``LANES`` loops together.
 """
 
 from __future__ import annotations
@@ -212,6 +220,8 @@ MAX_NEWTON = 4
 H_INIT = 0.05
 GROW = 1.7
 SHRINK = 0.4
+# paths a campaign steps together: 4 measured best for 27-sheet lanes
+LANES = 4
 
 
 @dataclass(frozen=True)
@@ -242,6 +252,16 @@ class TrackTelemetry:
     min_path_separation: float = np.inf
 
 
+def matvec(table: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``table @ vec`` lane by lane: a C-contiguous table of shape lanes +
+    (..., d) times a vector of shape lanes + (d,).  Each lane is one matrix
+    by vector product over all its rows, bit for bit the product of the
+    (4, d) or (n, d) blocks that one-lane callers take."""
+    lanes = vec.shape[:-1]
+    rows = table.reshape(lanes + (-1, vec.shape[-1]))
+    return (rows @ vec[..., None]).reshape(table.shape[:-1])
+
+
 class SegmentSystem:
     """A chart system along the straight segment c(t) = (1-t) c_from + t c_to.
 
@@ -250,26 +270,46 @@ class SegmentSystem:
     the end points are given so.  Subclasses supply the
     residual R(z,t), the Jacobian dR/dz and the t-derivative dR/dt for a
     batch of sheets, plus optional housekeeping hooks; this is the
-    interface that :func:`track_segment` consumes.
+    interface that :func:`step_paths` consumes.
+
+    ``stack`` joins one-lane systems into one with a leading lane axis on
+    every field named in ``LANE_FIELDS``.  Its state (``stack_states``), its
+    t and every per-sheet result carry the same axis, and lane l computes
+    bit for bit what the l-th system computes alone.  ``length`` and
+    ``normalize`` are one-lane calls.
     """
+
+    LANE_FIELDS = ("c_from", "c_to", "c_diff")
 
     def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
         self.c_from = as_complex(c_from)
         self.c_to = as_complex(c_to)
         self.c_diff = self.c_to - self.c_from
 
-    def coeffs(self, t: float) -> np.ndarray:
+    @classmethod
+    def stack(cls, systems: list["SegmentSystem"]) -> "SegmentSystem":
+        out = cls.__new__(cls)
+        for name in cls.LANE_FIELDS:
+            setattr(out, name, np.array([getattr(s, name) for s in systems]))
+        return out
+
+    @staticmethod
+    def stack_states(states: list) -> object:
+        return np.array(states)
+
+    def coeffs(self, t) -> np.ndarray:
+        t = np.asarray(t)[..., None]
         return (1 - t) * self.c_from + t * self.c_to
 
     def length(self) -> float:
         """Coefficient distance covered by the segment (max-norm)."""
         return float(np.abs(self.c_diff).max())
 
-    def residual(self, state, t: float) -> np.ndarray:
+    def residual(self, state, t) -> np.ndarray:
         raise NotImplementedError
 
-    def res_jac_dt(self, state, t: float):
-        """Return (R, J, Rt) with shapes (n,k), (n,k,k), (n,k)."""
+    def res_jac_dt(self, state, t):
+        """Return (R, J, Rt) with shapes (..., n,k), (..., n,k,k), (..., n,k)."""
         raise NotImplementedError
 
     def update(self, state, delta) -> object:
@@ -280,7 +320,7 @@ class SegmentSystem:
         """Housekeeping after an accepted step (e.g. chart switching)."""
         return state
 
-    def scale(self, state, t: float) -> np.ndarray:
+    def scale(self, state, t) -> np.ndarray:
         """Per-sheet residual scale for convergence tests."""
         raise NotImplementedError
 
@@ -288,44 +328,235 @@ class SegmentSystem:
         """Per-sheet magnitude of the unknowns, for relative step tests."""
         raise NotImplementedError
 
-    def collision_gap(self, state) -> float:
-        """Minimal pairwise separation of sheets (inf when not applicable)."""
+    def collision_gap(self, state):
+        """Minimal pairwise separation of sheets, per lane (inf when not applicable)."""
         return np.inf
 
 
-def _newton(system: SegmentSystem, state, t: float, telemetry: TrackTelemetry):
-    """Newton-correct the whole batch at fixed t; returns state or None."""
-    for _ in range(MAX_NEWTON):
-        r, j, _ = system.res_jac_dt(state, t)
-        try:
-            delta = np.linalg.solve(j, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return None
-        state = system.update(state, -delta)
-        step = np.abs(delta).max(axis=-1)
-        if (step < CORRECTOR_TOL * system.param_scale(state)).all():
-            res = np.abs(system.residual(state, t)).max(axis=-1)
-            rel = res / system.scale(state, t)
-            telemetry.max_corrector_residual = max(
-                telemetry.max_corrector_residual, float(rel.max()))
-            if (rel < 10 * CORRECTOR_TOL).all():
-                return state
-    return None
+class Path:
+    """One lane: sheets continued along consecutive segments with one step controller.
+
+    The telemetry's ``step`` carries the last proposed step from each
+    segment to the next, and ``polish`` asks for the Newton polish at the
+    end of the last segment.  :func:`step_paths` advances the path; once
+    ``done``, ``state`` holds the end sheets, or ``error`` the exception
+    that stopped the path.
+    """
+
+    def __init__(self, systems: list[SegmentSystem], state, opts: TrackOptions | None = None,
+                 telemetry: TrackTelemetry | None = None, polish: bool = True):
+        self.systems = list(systems)
+        self.state = state
+        self.opts = opts or TrackOptions()
+        self.telemetry = telemetry or TrackTelemetry()
+        self.polish = polish
+        self.error: Exception | None = None
+        self.done = not self.systems
+        self.segment = -1
+        self.t = 1.0  # t on the current segment; 1 once it has ended
+        self.length = 0.0
+        self.proposal = H_INIT
+        self.k1 = None  # first RK4 stage at (state, t), kept across rejections
+
+    @property
+    def system(self) -> SegmentSystem:
+        return self.systems[self.segment]
+
+    def _start_segment(self) -> None:
+        self.segment += 1
+        self.length = self.system.length()
+        step = self.telemetry.step
+        if step is None or self.length == 0:
+            self.proposal = H_INIT
+        else:
+            self.proposal = min(step / self.length, self.opts.h_max)
+        self.t = 0.0 if self.length > 0 else 1.0
+        self.k1 = None
+
+    def _fail(self, exc: Exception) -> None:
+        self.error = exc
+        self.done = True
 
 
-def _davidenko(system: SegmentSystem, state, t: float):
-    _, j, rt = system.res_jac_dt(state, t)
+def _stacked(paths: list[Path], states: list, stacks: dict):
+    """The stacked system of these paths' segments (kept in ``stacks``) and state."""
+    key = tuple(p.system for p in paths)
+    system = stacks.get(key)
+    if system is None:
+        system = stacks[key] = type(key[0]).stack(key)
+    return system, system.stack_states(states)
+
+
+def _solve(j: np.ndarray, r: np.ndarray) -> list:
+    """``solve(j, r)`` lane by lane; None for a lane with a singular matrix."""
     try:
-        return -np.linalg.solve(j, rt[..., None])[..., 0]
+        return list(np.linalg.solve(j, r[..., None])[..., 0])
     except np.linalg.LinAlgError:
-        return None
+        out = []
+        for jl, rl in zip(j, r):
+            try:
+                out.append(np.linalg.solve(jl, rl[..., None])[..., 0])
+            except np.linalg.LinAlgError:
+                out.append(None)
+        return out
+
+
+def _davidenko(paths: list[Path], states: list, ts: list[float], stacks: dict) -> list:
+    system, state = _stacked(paths, states, stacks)
+    _, j, rt = system.res_jac_dt(state, np.array(ts))
+    return [None if x is None else -x for x in _solve(j, rt)]
+
+
+def _newton(paths: list[Path], states: list, ts: list[float], stacks: dict) -> list:
+    """Newton-correct each lane at its fixed t; its corrected state or None."""
+    out = [None] * len(paths)
+    states = list(states)
+    live = list(range(len(paths)))
+    for _ in range(MAX_NEWTON):
+        if not live:
+            break
+        system, state = _stacked([paths[i] for i in live], [states[i] for i in live], stacks)
+        r, j, _ = system.res_jac_dt(state, np.array([ts[i] for i in live]))
+        small, failed = [], set()
+        for i, delta in zip(live, _solve(j, r)):
+            if delta is None:
+                failed.add(i)
+                continue
+            sys_i = paths[i].system
+            states[i] = sys_i.update(states[i], -delta)
+            step = np.abs(delta).max(axis=-1)
+            if (step < CORRECTOR_TOL * sys_i.param_scale(states[i])).all():
+                small.append(i)
+        if small:
+            system, state = _stacked([paths[i] for i in small], [states[i] for i in small],
+                                     stacks)
+            t = np.array([ts[i] for i in small])
+            res = np.abs(system.residual(state, t)).max(axis=-1)
+            for i, rel in zip(small, res / system.scale(state, t)):
+                telemetry = paths[i].telemetry
+                telemetry.max_corrector_residual = max(
+                    telemetry.max_corrector_residual, float(rel.max()))
+                if (rel < 10 * CORRECTOR_TOL).all():
+                    out[i] = states[i]
+        live = [i for i in live if i not in failed and out[i] is None]
+    return out
+
+
+def step_paths(paths: list[Path]) -> None:
+    """One step attempt on every unfinished path, as one batch of evaluations.
+
+    A path first moves past its ended segments (a zero-length segment
+    takes no step); one whose last segment has ended takes its final
+    Newton polish and is done.  Every other path attempts one step of
+    ``min(proposal, 1 - t)`` from its own (state, t): the RK4 stages and
+    the Newton iterations are each one stacked evaluation over the lanes
+    still in the attempt.  The paths must follow one cover (one system
+    class and one number of sheets).  A singular Jacobian, a step
+    underflow or a sheet collision rejects or fails only its own lane.
+    """
+    stacks: dict = {}
+    stepping, polishing = [], []
+    for p in paths:
+        while not p.done and p.t >= 1.0:
+            if p.segment + 1 < len(p.systems):
+                p._start_segment()
+            elif p.polish:
+                polishing.append(p)
+                break
+            else:
+                p.done = True
+        if not p.done and p.t < 1.0:
+            stepping.append(p)
+    if polishing:
+        _polish(polishing, stacks)
+    if not stepping:
+        return
+    hs = [min(p.proposal, 1.0 - p.t) for p in stepping]
+    fresh = [p for p in stepping if p.k1 is None]
+    if fresh:
+        for p, k in zip(fresh, _davidenko(fresh, [p.state for p in fresh],
+                                          [p.t for p in fresh], stacks)):
+            p.k1 = k
+    live = [i for i, p in enumerate(stepping) if p.k1 is not None]
+    stages = {i: [stepping[i].k1] for i in live}
+    for frac in (0.5, 0.5, 1.0):  # k2, k3 and k4 from the stage before
+        if not live:
+            break
+        lanes = [stepping[i] for i in live]
+        states = [p.system.update(p.state, frac * hs[i] * stages[i][-1])
+                  for i, p in zip(live, lanes)]
+        ks = _davidenko(lanes, states, [p.t + frac * hs[i] for i, p in zip(live, lanes)],
+                        stacks)
+        kept = [(i, k) for i, k in zip(live, ks) if k is not None]
+        for i, k in kept:
+            stages[i].append(k)
+        live = [i for i, _ in kept]
+    lanes = [stepping[i] for i in live]
+    preds = []
+    for i, p in zip(live, lanes):
+        k1, k2, k3, k4 = stages[i]
+        preds.append(p.system.update(p.state, (hs[i] / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
+    ends = dict(zip(live, _newton(lanes, preds, [p.t + hs[i] for i, p in zip(live, lanes)],
+                                  stacks)))
+    accepted = []
+    for i, p in enumerate(stepping):
+        h = hs[i]
+        end = ends.get(i)
+        if end is None:
+            p.telemetry.rejected += 1
+            p.proposal = h * SHRINK
+            if p.proposal < p.opts.h_min:
+                p._fail(PathTrackingError(f"step size underflow at t={p.t:.6g}"))
+            continue
+        try:
+            p.state = p.system.normalize(end)
+        except Exception as exc:  # this lane's failure, as it would be alone
+            p._fail(exc)
+            continue
+        p.k1 = None
+        p.t += h
+        p.telemetry.steps += 1
+        accepted.append((p, h))
+    checked = [p for p, _ in accepted if p.opts.collision_tol is not None]
+    if checked:
+        system, state = _stacked(checked, [p.state for p in checked], stacks)
+        gaps = np.broadcast_to(system.collision_gap(state), (len(checked),))
+        for p, gap in zip(checked, gaps):
+            gap = float(gap)
+            p.telemetry.min_path_separation = min(p.telemetry.min_path_separation, gap)
+            if gap < p.opts.collision_tol:
+                p._fail(SheetCollisionError(f"sheet separation {gap:.3g} at t={p.t:.6g}"))
+    for p, h in accepted:
+        if p.done:
+            continue
+        p.proposal = min(max(p.proposal, h * GROW), p.opts.h_max)
+        if p.t >= 1.0 and p.length > 0:
+            p.telemetry.step = p.proposal * p.length
+
+
+def _polish(paths: list[Path], stacks: dict) -> None:
+    """The final Newton polish at t=1 and the conditioning at the end point."""
+    good = []
+    for p, end in zip(paths, _newton(paths, [p.state for p in paths], [1.0] * len(paths),
+                                     stacks)):
+        if end is None:
+            p._fail(PathTrackingError("final Newton polish failed at t=1"))
+        else:
+            p.state = end
+            p.done = True
+            good.append(p)
+    if good:
+        system, state = _stacked(good, [p.state for p in good], stacks)
+        _, j, _ = system.res_jac_dt(state, np.ones(len(good)))
+        for p, conds in zip(good, np.linalg.cond(j)):
+            p.telemetry.max_condition = max(p.telemetry.max_condition, float(np.max(conds)))
 
 
 def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None,
                   telemetry: TrackTelemetry | None = None, polish: bool = True):
-    """Track all sheets of a segment from t=0 to t=1.
+    """Track all sheets of a segment from t=0 to t=1: one lane of :func:`step_paths`.
 
-    The batch shares one adaptive step: a corrector failure on any sheet
+    The sheets share one adaptive step: a corrector failure on any sheet
     shrinks the step for all of them.  A fresh telemetry starts the step
     at ``H_INIT``; one that has tracked a segment before starts it
     from its carried ``step``, rescaled to this segment's length and
@@ -339,53 +570,9 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
     Runge-Kutta stage; only an accepted step (or a failed stage) makes the
     next attempt recompute it.
     """
-    opts = opts or TrackOptions()
-    telemetry = telemetry or TrackTelemetry()
-    length = system.length()
-    if telemetry.step is None or length == 0:
-        proposal = H_INIT
-    else:
-        proposal = min(telemetry.step / length, opts.h_max)
-    t = 0.0 if length > 0 else 1.0
-    k1 = None
-    while t < 1.0:
-        h = min(proposal, 1.0 - t)
-        if k1 is None:
-            k1 = _davidenko(system, state, t)
-        accepted = None
-        if k1 is not None:
-            k2 = _davidenko(system, system.update(state, 0.5 * h * k1), t + 0.5 * h)
-            k3 = None if k2 is None else _davidenko(
-                system, system.update(state, 0.5 * h * k2), t + 0.5 * h)
-            k4 = None if k3 is None else _davidenko(
-                system, system.update(state, h * k3), t + h)
-            if k4 is not None:
-                pred = system.update(state, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-                accepted = _newton(system, pred, t + h, telemetry)
-        if accepted is None:
-            telemetry.rejected += 1
-            proposal = h * SHRINK
-            if proposal < opts.h_min:
-                raise PathTrackingError(f"step size underflow at t={t:.6g}")
-            continue
-        state = system.normalize(accepted)
-        k1 = None
-        t += h
-        telemetry.steps += 1
-        if opts.collision_tol is not None:
-            gap = system.collision_gap(state)
-            telemetry.min_path_separation = min(telemetry.min_path_separation, gap)
-            if gap < opts.collision_tol:
-                raise SheetCollisionError(f"sheet separation {gap:.3g} at t={t:.6g}")
-        proposal = min(max(proposal, h * GROW), opts.h_max)
-    if length > 0:
-        telemetry.step = proposal * length
-    if not polish:
-        return state, telemetry
-    polished = _newton(system, state, 1.0, telemetry)
-    if polished is None:
-        raise PathTrackingError("final Newton polish failed at t=1")
-    _, j, _ = system.res_jac_dt(polished, 1.0)
-    conds = np.linalg.cond(j)
-    telemetry.max_condition = max(telemetry.max_condition, float(np.max(conds)))
-    return polished, telemetry
+    path = Path([system], state, opts, telemetry, polish)
+    while not path.done:
+        step_paths([path])
+    if path.error is not None:
+        raise path.error
+    return path.state, path.telemetry

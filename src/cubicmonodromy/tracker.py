@@ -4,22 +4,31 @@ Loops are waypoint polylines in a family's parameter space; consecutive
 waypoints are joined by straight segments (the family coefficient maps are
 affine, so these are straight segments in coefficient space too, and the
 homotopy class of the polyline is exactly what gets tracked).  Each loop
-is tracked with one step controller (see :func:`track_polyline`).  Twisted
-loops end at a parameter point whose surface is identified with the base
-surface through a projective matrix; the identification transports the
-tracked endpoint fiber back to the base fiber.
+is tracked with one step controller.  Twisted loops end at a parameter
+point whose surface is identified with the base surface through a
+projective matrix; the identification transports the tracked endpoint
+fiber back to the base fiber.
+
+A loop is set up as a :class:`LoopRun`: its segment systems, its start
+sheets and the step that reads the permutation off the end sheets.
+``track_loop`` and its kin track one run alone, one ``track_segment``
+per segment; a campaign tracks several runs at once as lanes of
+``numeric.step_paths`` (see ``monodromy``).  Both give the same
+permutation and telemetry bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import linesolver as ls
 from .forms import FamilySpec, ProjectiveMatrix, TwistAction
-from .numeric import SegmentSystem, TrackOptions, TrackTelemetry, track_segment
+from .numeric import Path, SegmentSystem, TrackOptions, TrackTelemetry, track_segment
 from .perms import Permutation
 from .schlafli import SchlafliLabeling
 
@@ -147,30 +156,42 @@ class TrackedPermutation:
 LOOP_OPTIONS = TrackOptions(collision_tol=SHEET_COLLISION_TOL, h_max=1.0)
 
 
-def track_polyline(systems: list[SegmentSystem], state):
-    """Track the sheets along consecutive segments with one step controller.
+@dataclass
+class LoopRun:
+    """A loop ready to track: segment systems, start sheets, and ``finish``,
+    which turns the end sheets and the telemetry into the permutation."""
 
-    One fresh telemetry carries the step from each segment to the next,
-    and only the last segment ends in a Newton polish.
-    """
-    telemetry = TrackTelemetry()
-    last = len(systems) - 1
-    for k, system in enumerate(systems):
-        state, telemetry = track_segment(system, state, LOOP_OPTIONS, telemetry,
-                                         polish=k == last)
-    return state, telemetry
+    systems: list[SegmentSystem]
+    state: object
+    finish: Callable[[object, TrackTelemetry], TrackedPermutation]
+
+    def path(self) -> Path:
+        """The loop as one lane of ``numeric.step_paths``."""
+        return Path(self.systems, self.state, LOOP_OPTIONS)
+
+    def track(self) -> TrackedPermutation:
+        """Track the loop alone, one ``track_segment`` per segment: one
+        fresh telemetry carries the step from each segment to the next,
+        and only the last segment ends in a Newton polish."""
+        state, telemetry = self.state, TrackTelemetry()
+        last = len(self.systems) - 1
+        for k, system in enumerate(self.systems):
+            state, telemetry = track_segment(system, state, LOOP_OPTIONS, telemetry,
+                                             polish=k == last)
+        return self.finish(state, telemetry)
 
 
-def _track_base_fiber(family: FamilySpec, waypoints, base: ls.SolveReport):
-    """The base fiber's 27 sheets continued along the waypoint polyline."""
+def _base_fiber_run(family: FamilySpec, waypoints, base: ls.SolveReport,
+                    finish) -> LoopRun:
+    """The base fiber's 27 sheets along the waypoint polyline."""
     coeffs = [family.raw_coeffs(w) for w in waypoints]
     systems = [ls.LineSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
-    return track_polyline(systems, ls.sheets_from_lines(base.lines))
+    return LoopRun(systems, ls.sheets_from_lines(base.lines), finish)
 
 
-def _finish(family: FamilySpec, base: ls.SolveReport, state,
-            labeling: SchlafliLabeling | None, loop, telemetry,
-            identification: np.ndarray | None = None) -> TrackedPermutation:
+def _finish(family: FamilySpec, base: ls.SolveReport,
+            labeling: SchlafliLabeling | None, loop,
+            identification: np.ndarray | None, state, telemetry) -> TrackedPermutation:
     """Polish the endpoint fiber, match against the base fiber, package."""
     if identification is not None:
         state = ls.sheets_from_lines(
@@ -187,15 +208,15 @@ def _finish(family: FamilySpec, base: ls.SolveReport, state,
         perm, ls.min_pairwise_distance(end_pl), loop, telemetry)
 
 
-def track_loop(loop: LoopSpec, base: ls.SolveReport,
-               labeling: SchlafliLabeling | None = None) -> TrackedPermutation:
+def loop_run(loop: LoopSpec, base: ls.SolveReport,
+             labeling: SchlafliLabeling | None = None) -> LoopRun:
     """Continue all sheets around a closed loop and read off the permutation."""
-    state, telemetry = _track_base_fiber(loop.family, loop.waypoints, base)
-    return _finish(loop.family, base, state, labeling, loop, telemetry)
+    return _base_fiber_run(loop.family, loop.waypoints, base,
+                           partial(_finish, loop.family, base, labeling, loop, None))
 
 
-def track_twisted_loop(spec: TwistedLoopSpec, base: ls.SolveReport,
-                       labeling: SchlafliLabeling | None = None) -> TrackedPermutation:
+def twisted_loop_run(spec: TwistedLoopSpec, base: ls.SolveReport,
+                     labeling: SchlafliLabeling | None = None) -> LoopRun:
     """Track a path to the twisted image point, then identify fibers.
 
     The identification g satisfies evaluator(image) = evaluator(base) o g
@@ -205,9 +226,21 @@ def track_twisted_loop(spec: TwistedLoopSpec, base: ls.SolveReport,
     resid = spec.identification_residual()
     if resid >= IDENTIFICATION_TOL:
         raise LoopError(f"identification residual {resid:.3g} above tolerance")
-    state, telemetry = _track_base_fiber(spec.family, spec.waypoints, base)
-    return _finish(spec.family, base, state, labeling, spec, telemetry,
-                   identification=spec.identification.entries)
+    return _base_fiber_run(spec.family, spec.waypoints, base,
+                           partial(_finish, spec.family, base, labeling, spec,
+                                   spec.identification.entries))
+
+
+def track_loop(loop: LoopSpec, base: ls.SolveReport,
+               labeling: SchlafliLabeling | None = None) -> TrackedPermutation:
+    """Track one loop alone: see :func:`loop_run`."""
+    return loop_run(loop, base, labeling).track()
+
+
+def track_twisted_loop(spec: TwistedLoopSpec, base: ls.SolveReport,
+                       labeling: SchlafliLabeling | None = None) -> TrackedPermutation:
+    """Track one twisted loop alone: see :func:`twisted_loop_run`."""
+    return twisted_loop_run(spec, base, labeling).track()
 
 
 def twisted_loop_for_action(family: FamilySpec, basepoint,

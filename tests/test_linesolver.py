@@ -253,3 +253,50 @@ def test_rejected_steps_reuse_their_first_stage(monkeypatch):
     tel = L.solve_lines(F.random_cubic(np.random.default_rng(0)), seed=0).telemetry
     assert (tel.steps, tel.rejected) == (27, 14)
     assert len(calls) == 318 - 14
+
+
+def _grid_points(charts, params):
+    """Sample points stored through per-sheet index grids: the reference."""
+    n = len(charts)
+    free, dep = L.CHART_FREE[charts], L.CHART_DEP[charts]
+    a, b, c, d = params.T
+    pts = np.zeros((n, 4, 4), dtype=params.dtype)
+    rows, samples = np.arange(n)[:, None], np.arange(4)[None, :]
+    s, t = L._SAMPLES[:, 0], L._SAMPLES[:, 1]
+    pts[rows, samples, free[:, :1]] = s
+    pts[rows, samples, free[:, 1:]] = t
+    pts[rows, samples, dep[:, :1]] = a[:, None] * s + b[:, None] * t
+    pts[rows, samples, dep[:, 1:]] = c[:, None] * s + d[:, None] * t
+    return pts
+
+
+def _grid_jacobian(charts, grads):
+    """The chart Jacobian from index-grid gathers of the gradient: the reference."""
+    n = len(charts)
+    dep = L.CHART_DEP[charts]
+    rows, samples = np.arange(n)[:, None], np.arange(4)[None, :]
+    g0, g1 = grads[rows, samples, dep[:, :1]], grads[rows, samples, dep[:, 1:]]
+    s, t = L._SAMPLES[:, 0], L._SAMPLES[:, 1]
+    return np.einsum("mr,nrp->nmp", L._VINV, np.stack([g0 * s, g0 * t, g1 * s, g1 * t], -1))
+
+
+def _same_bits(a, b):
+    if a.dtype == np.clongdouble:  # compare values and zero signs, not padding
+        a, b = a.view(np.longdouble), b.view(np.longdouble)
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_chart_tables_match_index_grids(dtype):
+    rng = np.random.default_rng(9)
+    charts = np.repeat(np.arange(6), 5)
+    params = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
+    params[rng.uniform(size=params.shape) < 0.2] = complex(-0.0, -0.0)
+    c_from, c_to = (rng.normal(size=20) + 1j * rng.normal(size=20) for _ in range(2))
+    system = L.LineSystem(c_from.astype(dtype), c_to.astype(dtype))
+    state = L.SheetState(charts=charts, params=params.astype(dtype))
+    pts = _grid_points(charts, state.params)
+    assert _same_bits(system._points(state), pts)
+    grads = F.SPACE.gradient(system.coeffs(0.3), pts)
+    assert _same_bits(system.res_jac_dt(state, 0.3)[1], _grid_jacobian(charts, grads))

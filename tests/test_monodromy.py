@@ -10,6 +10,7 @@ from cubicmonodromy import forms as F
 from cubicmonodromy import monodromy as M
 from cubicmonodromy import perms as P
 from cubicmonodromy import schlafli as S
+from cubicmonodromy import tracker as T
 
 
 def test_claim_suite_table():
@@ -158,3 +159,79 @@ def test_claim_suite_permutations_are_pinned(claim_results):
         blob = json.dumps([t["perm"] for t in report["tracked"]], separators=(",", ":"))
         digests[key] = hashlib.sha256(blob.encode()).hexdigest()[:16]
     assert digests == SEED0_PERM_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Loops in flight: no loop past the stop
+# ---------------------------------------------------------------------------
+
+
+class _Stream:
+    """A loop stream of ready results whose thunks count their calls.
+
+    ``outcomes[i]`` is a permutation (a tracked loop), ``"finish"`` (the
+    loop fails when read off) or ``"start"`` (the thunk itself raises);
+    past the end every loop is the identity.
+    """
+
+    def __init__(self, degree, outcomes):
+        self.degree, self.outcomes, self.calls = degree, outcomes, 0
+
+    def result(self, k):
+        out = self.outcomes[k] if k < len(self.outcomes) else list(range(self.degree))
+        if out == "start":
+            raise RuntimeError(f"no loop {k}")
+        if out == "finish":
+            raise ValueError(f"loop {k} lost")
+        return T.TrackedPermutation(perm=P.Permutation(out), max_corrector_residual=0.0,
+                                    min_separation=1.0, loop=None)
+
+    def thunk(self, k):
+        self.calls += 1
+        if self.outcomes[k:k + 1] == ["start"]:
+            self.result(k)
+
+        def finish(state, telemetry):
+            return self.result(k)
+        return T.LoopRun([], None, finish)
+
+    def __iter__(self):
+        k = 0
+        while True:
+            yield f"loop{k}", (lambda k=k: self.thunk(k))
+            k += 1
+
+
+def _one_at_a_time(stream, budget, mandatory):
+    """The stop rule tracking one loop at a time; also the loops it reaches."""
+    chain = P.StabilizerChain(stream.degree)
+    tracked, failures, stable = [], [], 0
+    for attempts in range(1, budget + 1):
+        try:
+            tp = stream.result(attempts - 1)
+        except Exception as exc:
+            failures.append(f"loop{attempts - 1}: {type(exc).__name__}: {exc}")
+            continue
+        tracked.append(tp)
+        stable = 0 if chain.extend(np.array(tp.perm.images)) else stable + 1
+        if attempts > mandatory and stable >= M.PLATEAU:
+            return tracked, failures, True, attempts
+    return tracked, failures, False, budget
+
+
+@pytest.mark.parametrize("outcomes, budget, mandatory", [
+    ([[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]], 40, 0),  # plateau after 3 + 10
+    ([[1, 0, 2, 3]], 7, 0),  # budget before the plateau
+    ([[1, 0, 2, 3], "finish", "start", [0, 2, 1, 3]] + ["finish", [0, 1, 2, 3]] * 6
+     + ["start", [0, 1, 3, 2]], 40, 2),  # failures do not count towards a plateau
+    ([], 30, 12),  # every loop stable, but the mandatory loops come first
+    (["start"] * 3, 2, 0),
+])
+def test_accumulate_starts_no_loop_past_its_stop(outcomes, budget, mandatory):
+    stream = _Stream(4, outcomes)
+    got = M._accumulate(4, stream, budget, mandatory)
+    tracked, failures, plateau, reached = _one_at_a_time(_Stream(4, outcomes), budget,
+                                                         mandatory)
+    assert [tp.perm for tp in got[0]] == [tp.perm for tp in tracked]
+    assert got[1:] == (failures, plateau)
+    assert stream.calls == reached

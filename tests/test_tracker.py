@@ -1,11 +1,15 @@
 """Loop tracking: identity, inverses, composition, homotopy invariance."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cubicmonodromy import flexes as FX
 from cubicmonodromy import forms as F
 from cubicmonodromy import linesolver as L
+from cubicmonodromy import monodromy as M
+from cubicmonodromy import numeric as N
 from cubicmonodromy import perms as P
 from cubicmonodromy import schlafli as S
 from cubicmonodromy import surfaces as SF
@@ -227,3 +231,134 @@ def test_chart_system_derivatives_match_finite_differences(make, seed):
     fd_rt = (system.residual(state, t + h) - system.residual(state, t - h)) / (2 * h)
     np.testing.assert_allclose(fd_j, j, rtol=1e-6, atol=1e-6 * np.abs(j).max())
     np.testing.assert_allclose(fd_rt, rt, rtol=1e-6, atol=1e-6 * np.abs(rt).max())
+
+
+# ---------------------------------------------------------------------------
+# Loops tracked together, one lane each
+# ---------------------------------------------------------------------------
+
+
+def _track_together(runs):
+    """Track LoopRuns as lanes of one batch: a TrackedPermutation or the
+    exception, per run."""
+    paths = [run.path() for run in runs]
+    while not all(p.done for p in paths):
+        N.step_paths([p for p in paths if not p.done])
+    out = []
+    for run, path in zip(runs, paths):
+        try:
+            if path.error is not None:
+                raise path.error
+            out.append(run.finish(path.state, path.telemetry))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _alone(run):
+    try:
+        return run.track()
+    except Exception as exc:
+        return exc
+
+
+def _outcome(x):
+    """What a campaign keeps of a loop: its JSON, or its failure string."""
+    if isinstance(x, Exception):
+        return f"{type(x).__name__}: {x}"
+    return json.dumps(x.to_json())
+
+
+@pytest.mark.parametrize("make", [_line_system_and_state, _flex_system_and_state],
+                         ids=["LineSystem", "FlexSystem"])
+def test_stacked_lanes_compute_what_each_lane_computes_alone(make):
+    rng = np.random.default_rng(5)
+    lanes = [make(rng) for _ in range(3)]
+    systems = [s for s, _ in lanes]
+    stacked = type(systems[0]).stack(systems)
+    state = stacked.stack_states([st for _, st in lanes])
+    ts = rng.uniform(0, 1, size=3)
+    together = stacked.res_jac_dt(state, ts) + (stacked.residual(state, ts),
+                                                 stacked.scale(state, ts),
+                                                 stacked.collision_gap(state))
+    for lane, ((system, st), t) in enumerate(zip(lanes, ts)):
+        alone = system.res_jac_dt(st, float(t)) + (system.residual(st, float(t)),
+                                                   system.scale(st, float(t)),
+                                                   system.collision_gap(st))
+        for a, b in zip(alone, together):
+            assert np.asarray(a).tobytes() == np.asarray(b[lane]).tobytes()
+
+
+def test_line_loops_in_one_batch_match_each_loop_alone(s4_base):
+    fam, bp, base, labeling = s4_base
+    fam2 = F.s3c2_family()
+    bp2 = np.array([0.5 + 0.4j])
+    base2 = L.solve_lines(fam2.form_at(bp2), seed=21)
+    labeling2 = S.label_lines(L.incidence_graph(base2.lines))
+    twist = T.twisted_loop_for_action(fam2, bp2, fam2.twist_actions[0])
+    loops = [(T.petal_loops(fam, bp[0])[0], base, labeling),
+             (T.random_lasso_loop(fam, bp, seed=4), base, labeling),
+             (T.random_polygon_loop(fam2, bp2, seed=6), base2, labeling2),
+             (T.petal_loops(fam2, bp2[0])[1], base2, labeling2)]
+    runs = [T.loop_run(*args) for args in loops]
+    runs.append(T.twisted_loop_run(twist, base2, labeling2))
+    alone = [T.track_loop(*args) for args in loops]
+    alone.append(T.track_twisted_loop(twist, base2, labeling2))
+    together = _track_together(runs)
+    for tp, ref in zip(together, alone):
+        assert _outcome(tp) == _outcome(ref)
+        assert (tp.perm, tp.steps, tp.rejected) == (ref.perm, ref.steps, ref.rejected)
+        assert tp.min_path_separation == ref.min_path_separation
+        assert tp.max_corrector_residual == ref.max_corrector_residual
+
+
+@pytest.fixture(scope="module")
+def flex_base():
+    rng = np.random.default_rng(12)
+    form = FX.PlaneCubicForm(rng.normal(size=10) + 1j * rng.normal(size=10))
+    fam = FX.flexp9_family()
+    bp = form.coefficients
+    return fam, bp, FX.solve_flexes(form, seed=12)
+
+
+def _flex_runs(flex_base, seeds):
+    fam, bp, base = flex_base
+    loops = [(T.random_polygon_loop if s % 2 else T.random_lasso_loop)(fam, bp, seed=s)
+             for s in seeds]
+    return [FX.flex_loop_run(loop, base, frame_seed=s) for loop, s in zip(loops, seeds)]
+
+
+def test_flex_loops_in_one_batch_match_each_loop_alone(flex_base):
+    seeds = [31, 32, 33, 34]
+    runs = _flex_runs(flex_base, seeds)
+    together = _track_together(runs)
+    for tp, s in zip(together, seeds):
+        ref = FX.track_flex_loop(tp.loop, flex_base[2], frame_seed=s)
+        assert _outcome(tp) == _outcome(ref)
+        assert (tp.perm, tp.steps, tp.rejected) == (ref.perm, ref.steps, ref.rejected)
+
+
+def test_a_failing_lane_fails_alone(flex_base):
+    good = _flex_runs(flex_base, [41, 42, 43])
+    # a segment from the zero cubic: the Jacobian at t=0 is singular, so each
+    # attempt of that lane is rejected (LinAlgError from the stacked solve)
+    # until the step underflows
+    zero = np.zeros(10, dtype=complex)
+    singular = T.LoopRun([FX.FlexSystem(zero, good[0].systems[0].c_to)], good[0].state,
+                         good[0].finish)
+    # two equal sheets collide at the first accepted step
+    twin = good[1].state.copy()
+    twin[1] = twin[0]
+    collide = T.LoopRun(good[1].systems, twin, good[1].finish)
+    runs = [good[0], singular, good[1], collide, good[2]]
+    alone = [_outcome(_alone(run)) for run in runs]
+    assert alone[1].startswith("PathTrackingError: step size underflow")
+    assert alone[3].startswith("SheetCollisionError: sheet separation")
+    assert [_outcome(x) for x in _track_together(runs)] == alone
+    # and through a campaign's accumulator, with its failure strings
+    stream = [(f"loop{k}", (lambda r=run: r)) for k, run in enumerate(runs)]
+    tracked, failures, plateau = M._accumulate(9, iter(stream), budget=len(runs),
+                                               mandatory=0)
+    assert [json.dumps(tp.to_json()) for tp in tracked] == [alone[0], alone[2], alone[4]]
+    assert failures == [f"loop1: {alone[1]}", f"loop3: {alone[3]}"]
+    assert not plateau
