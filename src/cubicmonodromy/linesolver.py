@@ -25,8 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from . import schlafli
 from .forms import SPACE, CubicForm, fermat_cubic
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, TrackTelemetry, as_complex, matvec, random_unitary,
-                      track_segment)
+                      TrackOptions, TrackTelemetry, matvec, random_unitary, track_segment)
 
 # free coordinate pairs of the six charts; dependents are the complements
 CHART_FREE = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -67,7 +66,6 @@ MEET_AMBIGUOUS = 1e-4
 DISTINCT_TOL = 1e-6
 RESIDUAL_TOL = 1e-10
 POLISH_TOL = 1e-12
-ESCALATE_COND = 1e10
 MATCH_GAP_MIN = 1e3
 
 
@@ -346,9 +344,9 @@ class LineSystem(SegmentSystem):
 
     def _points(self, state: SheetState) -> np.ndarray:
         """The sample points s v1 + t v2 of every sheet, shape (..., n, 4, 4)."""
-        params = as_complex(state.params)
+        params = np.asarray(state.params, dtype=complex)
         pairs = params.reshape(params.shape[:-1] + (2, 2))  # rows (a, b) and (c, d)
-        rows = np.empty(params.shape[:-1] + (4, 4), dtype=params.dtype)
+        rows = np.empty(params.shape[:-1] + (4, 4), dtype=complex)
         rows[..., 0, :] = _S
         rows[..., 1, :] = _T
         np.add(pairs[..., :1] * _S, pairs[..., 1:] * _T, out=rows[..., 2:, :])
@@ -426,16 +424,12 @@ def transform_lines(lines: list[Line], matrix: np.ndarray) -> list[Line]:
 # ---------------------------------------------------------------------------
 
 
-def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, float, int]:
-    """Newton polish all sheets at fixed coefficients.
+def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, float]:
+    """Newton polish all sheets at fixed coefficients, in double.
 
-    Returns (state, max relative chart residual, number of long-double
-    escalations).  Sheets whose Jacobian condition exceeds
-    ``ESCALATE_COND`` take up to eight more Newton steps together, on the
-    same ``LineSystem`` in ``clongdouble``: each step evaluates the
-    residual and Jacobian in extended precision and solves for the
-    correction in double, until every such sheet's step is below
-    1e-16 (1 + height).
+    Returns (state, max relative chart residual).  Near a puncture the
+    chart Jacobians stay far from singular (condition below 1e4 for S4
+    members 1e-4 off a = -1/2), so double precision suffices.
     """
     system = LineSystem(coeffs, coeffs)
     for _ in range(6):
@@ -444,25 +438,9 @@ def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, f
         state = system.update(state, -delta)
         if (np.abs(delta).max(axis=-1) < POLISH_TOL * system.param_scale(state)).all():
             break
-    r, j, _ = system.res_jac_dt(state, 1.0)
-    hot = np.nonzero(np.linalg.cond(j) > ESCALATE_COND)[0]
-    if len(hot):
-        wide = coeffs.astype(np.clongdouble)
-        extended = LineSystem(wide, wide)
-        sheets = SheetState(charts=state.charts[hot],
-                            params=state.params[hot].astype(np.clongdouble))
-        for _ in range(8):
-            r, j, _ = extended.res_jac_dt(sheets, 1.0)
-            delta = np.linalg.solve(j.astype(complex), r.astype(complex)[..., None])[..., 0]
-            sheets = extended.update(sheets, -delta)
-            if (np.abs(delta).max(axis=-1) < 1e-16 * extended.param_scale(sheets)).all():
-                break
-        params = state.params.copy()
-        params[hot] = sheets.params.astype(complex)
-        state = SheetState(charts=state.charts, params=params)
-        r = system.residual(state, 1.0)
+    r = system.residual(state, 1.0)
     rel = float((np.abs(r).max(axis=-1) / system.scale(state, 1.0)).max())
-    return state, rel, len(hot)
+    return state, rel
 
 
 def certify_lines(form: CubicForm, lines: list[Line], rng: np.random.Generator) -> float:
@@ -568,8 +546,7 @@ def _solve_in_frame(form: CubicForm, gamma: complex, frame: np.ndarray):
     back = [line_from_basis(basis_from_chart(int(c), p) @ frame.T)
             for c, p in zip(state.charts, state.params)]
     state = sheets_from_lines(back)
-    state, rel, escalations = _polish_sheets(form.coefficients, state)
-    telemetry.escalations += escalations
+    state, rel = _polish_sheets(form.coefficients, state)
     if rel >= POLISH_TOL * 10:
         raise SolveError(f"polish residual {rel:.3g} above tolerance")
     return lines_from_sheets(state), telemetry

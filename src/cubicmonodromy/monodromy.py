@@ -81,7 +81,7 @@ class MonodromyReport:
     marked_triple: tuple[int, int, int] | None = None
     fingerprints: dict = field(default_factory=dict)
     verdicts: list[dict] = field(default_factory=list)
-    flex_base: fx.FlexSet | None = None
+    hesse_triples: list[tuple[int, int, int]] | None = None  # the flex base's collinear triples
 
     def to_json(self) -> dict:
         return {
@@ -172,9 +172,11 @@ def run_campaign(c: Campaign) -> MonodromyReport:
     covers; a flex family has no petals, twists or deck.
     """
     form = c.family.form_at(c.basepoint)
+    hesse_triples = None
     if c.family.degree == 9:
         base = fx.solve_flexes(form, seed=c.seed)
-        fx.check_hesse_configuration(fx.collinear_triples(base.points))
+        hesse_triples = fx.collinear_triples(base.points)
+        fx.check_hesse_configuration(hesse_triples)
         labeling = None
         seed_step = 99991
 
@@ -207,7 +209,7 @@ def run_campaign(c: Campaign) -> MonodromyReport:
             spec = tracker.twisted_loop_for_action(c.family, c.basepoint, action)
             mandatory.append((
                 f"twist:{action.name}",
-                (lambda s=spec: tracker.twisted_loop_run(s, base, labeling)),
+                (lambda s=spec: tracker.loop_run(s, base, labeling)),
             ))
 
     def stream():
@@ -243,7 +245,7 @@ def run_campaign(c: Campaign) -> MonodromyReport:
         tracked=tracked, group=group, deck_group=deck_group,
         combined_group=combined, labeling=labeling, plateau_reached=plateau,
         loop_failures=failures, marked_triple=_marked_triple(c, base, labeling),
-        flex_base=base if labeling is None else None,
+        hesse_triples=hesse_triples,
     )
     report.fingerprints["tracked"] = perms.fingerprint(group)
     if deck_group is not None:
@@ -520,8 +522,7 @@ def _check_subgroup_target(claim: Claim, report: MonodromyReport,
 
 def _check_asl_equality(report: MonodromyReport, group: PermGroup,
                         detail: dict) -> bool:
-    base: fx.FlexSet = report.flex_base
-    triples = fx.collinear_triples(base.points)
+    triples = report.hesse_triples
     fx.check_hesse_configuration(triples)
     tset = [frozenset(t) for t in triples]
     preserved = all(

@@ -1,4 +1,5 @@
-"""Shared numerical machinery: homogeneous form spaces and path tracking.
+"""Shared numerical machinery, all in double (complex128): homogeneous
+form spaces and path tracking.
 
 All homotopies used in this package are straight segments in a coefficient
 space (the 20 cubic-surface coefficients, the 10 plane-cubic coefficients,
@@ -75,13 +76,13 @@ class FormSpace:
 
     def monomial_values(self, points: np.ndarray) -> np.ndarray:
         """Values of every monomial at points of shape (..., nvars)."""
-        pts = as_complex(points)
+        pts = np.asarray(points, dtype=complex)
         return _table(self._products(pts, self._rows), pts.shape[:-1])
 
     def monomial_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The degree-d table and the degree-(d-1) table of ``gradient_ops``
         at points of shape (..., nvars); each equals its ``monomial_values``."""
-        pts = as_complex(points)
+        pts = np.asarray(points, dtype=complex)
         vals = self._products(pts, self._pair_rows)
         lead = pts.shape[:-1]
         return _table(vals[:self.dim], lead), _table(vals[self.dim:], lead)
@@ -89,17 +90,17 @@ class FormSpace:
     def _products(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Products of the gathered power-table rows, shape (rows.shape[1], points)."""
         flat = pts.reshape(-1, self.nvars).T
-        pw = np.ones((self.nvars, self.degree + 1, flat.shape[1]), dtype=pts.dtype)
+        pw = np.ones((self.nvars, self.degree + 1, flat.shape[1]), dtype=complex)
         for k in range(1, self.degree + 1):
             pw[:, k] = pw[:, k - 1] * flat
         gathered = pw.reshape(-1, flat.shape[1])[rows]  # (nvars, monomials, points)
-        vals = np.ones(gathered.shape[1:], dtype=pts.dtype)
+        vals = np.ones(gathered.shape[1:], dtype=complex)
         for v in range(self.nvars):
             vals = vals * gathered[v]
         return vals
 
     def evaluate(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return self.monomial_values(points) @ as_complex(coeffs)
+        return self.monomial_values(points) @ np.asarray(coeffs, dtype=complex)
 
     def gradient_ops(self) -> tuple["FormSpace", list[np.ndarray]]:
         """Lower-degree space plus matrices sending coeffs to d/dx_v coeffs."""
@@ -122,7 +123,7 @@ class FormSpace:
         """Gradient at points; shape (..., nvars)."""
         lower, ops = self.gradient_ops()
         mono = lower.monomial_values(points)
-        cols = [mono @ (op @ as_complex(coeffs)) for op in ops]
+        cols = [mono @ (op @ np.asarray(coeffs, dtype=complex)) for op in ops]
         return np.stack(cols, axis=-1)
 
     def compose_matrix(self, coeffs: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -158,12 +159,6 @@ class FormSpace:
             raise ValueError("third derivatives only for cubic spaces")
         return np.einsum("m,mijk->ijk", np.asarray(coeffs, dtype=complex),
                          _third_derivative_constants(self.nvars))
-
-
-def as_complex(x) -> np.ndarray:
-    """``x`` as a ``clongdouble`` array if it is long double, else as complex128."""
-    x = np.asarray(x)
-    return np.asarray(x, dtype=np.clongdouble if x.dtype.char in "gG" else complex)
 
 
 def _table(vals: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
@@ -247,7 +242,7 @@ class TrackTelemetry:
     rejected: int = 0
     max_condition: float = 0.0
     max_corrector_residual: float = 0.0
-    escalations: int = 0
+    escalations: int = 0  # always 0; read only by the benchmark tracer (bench/tracing.py)
     step: float | None = None
     min_path_separation: float = np.inf
 
@@ -266,11 +261,10 @@ class SegmentSystem:
     """A chart system along the straight segment c(t) = (1-t) c_from + t c_to.
 
     The base class owns the segment: its end points, their difference
-    ``c_diff`` and the coefficients ``coeffs(t)``, in ``clongdouble`` when
-    the end points are given so.  Subclasses supply the
-    residual R(z,t), the Jacobian dR/dz and the t-derivative dR/dt for a
-    batch of sheets, plus optional housekeeping hooks; this is the
-    interface that :func:`step_paths` consumes.
+    ``c_diff`` and the coefficients ``coeffs(t)``, all complex128.
+    Subclasses supply the residual R(z,t), the Jacobian dR/dz and the
+    t-derivative dR/dt for a batch of sheets, plus optional housekeeping
+    hooks; this is the interface that :func:`step_paths` consumes.
 
     ``stack`` joins one-lane systems into one with a leading lane axis on
     every field named in ``LANE_FIELDS``.  Its state (``stack_states``), its
@@ -282,8 +276,8 @@ class SegmentSystem:
     LANE_FIELDS = ("c_from", "c_to", "c_diff")
 
     def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
-        self.c_from = as_complex(c_from)
-        self.c_to = as_complex(c_to)
+        self.c_from = np.asarray(c_from, dtype=complex)
+        self.c_to = np.asarray(c_to, dtype=complex)
         self.c_diff = self.c_to - self.c_from
 
     @classmethod

@@ -9,10 +9,11 @@ point whose surface is identified with the base surface through a
 projective matrix; the identification transports the tracked endpoint
 fiber back to the base fiber.
 
-A loop is set up as a :class:`LoopRun`: its segment systems, its start
-sheets and the step that reads the permutation off the end sheets.
-``track_loop`` and its kin track one run alone, one ``track_segment``
-per segment; a campaign tracks several runs at once as lanes of
+A line loop, plain or twisted, is set up by :func:`loop_run` as a
+:class:`LoopRun`: its segment systems, its start sheets and the step that
+reads the permutation off the end sheets.  ``track_loop`` and
+``track_twisted_loop`` track one run alone, one ``track_segment`` per
+segment; a campaign tracks several runs at once as lanes of
 ``numeric.step_paths`` (see ``monodromy``).  Both give the same
 permutation and telemetry bit for bit.
 """
@@ -181,23 +182,14 @@ class LoopRun:
         return self.finish(state, telemetry)
 
 
-def _base_fiber_run(family: FamilySpec, waypoints, base: ls.SolveReport,
-                    finish) -> LoopRun:
-    """The base fiber's 27 sheets along the waypoint polyline."""
-    coeffs = [family.raw_coeffs(w) for w in waypoints]
-    systems = [ls.LineSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
-    return LoopRun(systems, ls.sheets_from_lines(base.lines), finish)
-
-
-def _finish(family: FamilySpec, base: ls.SolveReport,
-            labeling: SchlafliLabeling | None, loop,
+def _finish(base: ls.SolveReport, labeling: SchlafliLabeling | None, loop,
             identification: np.ndarray | None, state, telemetry) -> TrackedPermutation:
     """Polish the endpoint fiber, match against the base fiber, package."""
     if identification is not None:
         state = ls.sheets_from_lines(
             ls.transform_lines(ls.lines_from_sheets(state), identification))
-    base_coeffs = family.raw_coeffs(loop.waypoints[0])
-    state, _, _ = ls._polish_sheets(base_coeffs / np.abs(base_coeffs).max(), state)
+    base_coeffs = loop.family.raw_coeffs(loop.waypoints[0])
+    state, _ = ls._polish_sheets(base_coeffs / np.abs(base_coeffs).max(), state)
     end_pl = ls.sheet_pluckers(state)
     # sheet i ended on base line matching[i]: that is the monodromy image
     matching = ls.match_lines(end_pl, base.pluckers())
@@ -208,27 +200,23 @@ def _finish(family: FamilySpec, base: ls.SolveReport,
         perm, ls.min_pairwise_distance(end_pl), loop, telemetry)
 
 
-def loop_run(loop: LoopSpec, base: ls.SolveReport,
+def loop_run(loop: LoopSpec | TwistedLoopSpec, base: ls.SolveReport,
              labeling: SchlafliLabeling | None = None) -> LoopRun:
-    """Continue all sheets around a closed loop and read off the permutation."""
-    return _base_fiber_run(loop.family, loop.waypoints, base,
-                           partial(_finish, loop.family, base, labeling, loop, None))
-
-
-def twisted_loop_run(spec: TwistedLoopSpec, base: ls.SolveReport,
-                     labeling: SchlafliLabeling | None = None) -> LoopRun:
-    """Track a path to the twisted image point, then identify fibers.
-
-    The identification g satisfies evaluator(image) = evaluator(base) o g
-    up to scalar, so g carries the endpoint lines to lines of the base
-    surface; matching those against the base fiber closes the loop.
-    """
-    resid = spec.identification_residual()
-    if resid >= IDENTIFICATION_TOL:
-        raise LoopError(f"identification residual {resid:.3g} above tolerance")
-    return _base_fiber_run(spec.family, spec.waypoints, base,
-                           partial(_finish, spec.family, base, labeling, spec,
-                                   spec.identification.entries))
+    """The base fiber's 27 sheets along the loop's waypoint polyline, with
+    the read-off of the permutation.  A twisted loop's identification g,
+    with evaluator(image) = evaluator(base) o g up to scalar, carries its
+    end lines back to the base surface; raises LoopError when g misses
+    that identity by ``IDENTIFICATION_TOL`` or more."""
+    identification = None
+    if isinstance(loop, TwistedLoopSpec):
+        resid = loop.identification_residual()
+        if resid >= IDENTIFICATION_TOL:
+            raise LoopError(f"identification residual {resid:.3g} above tolerance")
+        identification = loop.identification.entries
+    coeffs = [loop.family.raw_coeffs(w) for w in loop.waypoints]
+    systems = [ls.LineSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
+    return LoopRun(systems, ls.sheets_from_lines(base.lines),
+                   partial(_finish, base, labeling, loop, identification))
 
 
 def track_loop(loop: LoopSpec, base: ls.SolveReport,
@@ -239,8 +227,8 @@ def track_loop(loop: LoopSpec, base: ls.SolveReport,
 
 def track_twisted_loop(spec: TwistedLoopSpec, base: ls.SolveReport,
                        labeling: SchlafliLabeling | None = None) -> TrackedPermutation:
-    """Track one twisted loop alone: see :func:`twisted_loop_run`."""
-    return twisted_loop_run(spec, base, labeling).track()
+    """Track one twisted loop alone: see :func:`loop_run`."""
+    return loop_run(spec, base, labeling).track()
 
 
 def twisted_loop_for_action(family: FamilySpec, basepoint,

@@ -166,7 +166,7 @@ def test_flex_monodromy_campaign():
     stab = P.set_stabilizer(report.group, {0})
     assert stab.order == 216 // 9 == 24
     # generators fix no point and preserve collinearity
-    triples = [frozenset(t) for t in FX.collinear_triples(report.flex_base.points)]
+    triples = [frozenset(t) for t in report.hesse_triples]
     for tp in report.tracked:
         assert tp.steps > 0
         assert FX.FLEX_DISTINCT_TOL < tp.min_path_separation < np.inf

@@ -177,7 +177,7 @@ def _per_variable_products(points, space):
 
 
 @pytest.mark.parametrize("nvars", [4, 3])
-@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+@pytest.mark.parametrize("dtype", [complex])
 def test_monomial_tables_match_per_variable_products(nvars, dtype):
     rng = np.random.default_rng(nvars)
     points = rng.normal(size=(7, 4, nvars)) + 1j * rng.normal(size=(7, 4, nvars))

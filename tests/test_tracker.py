@@ -301,7 +301,7 @@ def test_line_loops_in_one_batch_match_each_loop_alone(s4_base):
              (T.random_polygon_loop(fam2, bp2, seed=6), base2, labeling2),
              (T.petal_loops(fam2, bp2[0])[1], base2, labeling2)]
     runs = [T.loop_run(*args) for args in loops]
-    runs.append(T.twisted_loop_run(twist, base2, labeling2))
+    runs.append(T.loop_run(twist, base2, labeling2))
     alone = [T.track_loop(*args) for args in loops]
     alone.append(T.track_twisted_loop(twist, base2, labeling2))
     together = _track_together(runs)
