@@ -301,27 +301,17 @@ def exact_sequence_report(combined: PermGroup, deck: PermGroup,
     extension check (order-8 obstruction plus exhaustive complement
     search through the abelianization).
     """
-    normal = all(
-        perms.compose(perms.compose(g.inverse(), h), g) in deck
-        for h in deck.generators for g in combined.generators
-    )
-    if not normal:
+    if not perms.normalizes(combined, deck):
         return ExactSequenceReport(combined.order, deck.order, False, None,
                                    "not_normal", "deck is not normal in combined")
     quotient = perms.quotient_group(combined, deck)
     split = "inconclusive"
     detail = ""
     if tracked is not None and tracked.order * deck.order == combined.order:
-        trivial_meet = all(
-            not tracked.contains_key(row.tobytes())
-            for row in deck.element_array()
-            if not np.array_equal(row, np.arange(deck.degree))
-        )
-        tracked_normal = all(
-            perms.compose(perms.compose(g.inverse(), h), g) in tracked
-            for h in tracked.generators for g in combined.generators
-        )
-        if trivial_meet and tracked_normal:
+        rows = deck.element_array()
+        nontrivial = rows[np.any(rows != np.arange(deck.degree), axis=1)]
+        trivial_meet = not np.any(tracked.locate(nontrivial) >= 0)
+        if trivial_meet and perms.normalizes(combined, tracked):
             split = "direct_product"
             detail = "combined = deck x tracked"
     if split == "inconclusive" and deck.order == 2:

@@ -5,10 +5,20 @@ so tracking two loops in succession composes their permutations in path
 order.  Groups are immutable once generated; all queries are read-only.
 
 A group is its explicit element table, which makes stabilizers,
-centralizers, normalizers and quotients exact by scan.  Generating a group
-of more than ``MATERIALIZE_CAP`` elements raises ``GroupError``; the order
-of such a group is still available from a Schreier-Sims stabilizer chain
-(``bsgs_order``), which also cross-checks the orders of the tables.
+centralizers, normalizers and quotients exact by scan.  Each group also
+has a base: two of its elements that agree on the base points are equal.
+Every table row carries one integer key, the coordinates of its base
+images in the group's transversals, which is below the group's order.  So
+a product of two elements is located from its base images alone, element
+orders and the centre come from powering and comparing base images only,
+and membership is the key plus a full-row check.  A generated group takes
+its base from a Schreier-Sims stabilizer chain of its generators; a
+subgroup found by scan keeps the base of its group; a coset-action
+quotient is regular, so point 0 is its base.
+
+Generating a group of more than ``MATERIALIZE_CAP`` elements raises
+``GroupError``; the order of such a group is still available from the
+chain (``bsgs_order``), which also cross-checks the orders of the tables.
 Derived data (the fingerprint, the derived subgroup, quotients with their
 coset tables) is computed on first use and kept on the group.
 """
@@ -16,6 +26,7 @@ coset tables) is computed on first use and kept on the group.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -124,7 +135,7 @@ def cycle_string(p: Permutation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Schreier-Sims stabilizer chain (order computation without an element table)
+# Schreier-Sims stabilizer chain and the base it gives a group
 # ---------------------------------------------------------------------------
 
 
@@ -135,27 +146,28 @@ class StabilizerChain:
     fixing base[:k] pointwise.  Completion runs a global fixpoint: rebuild
     all orbits, then hunt for a Schreier generator that does not sift to
     the identity.  Residues are products of pool members, so adding them
-    never changes the generated group, only completes the chain.
+    never changes the generated group, only completes the chain.  Each
+    level keeps its transversal as arrays: the orbit position of every
+    point (-1 off the orbit), and the representatives and their inverses
+    by position, so sifting is one gather per level for any number of rows.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
         self.pool: list[np.ndarray] = []
         self.base: list[int] = []
-        self.transversals: list[dict[int, np.ndarray]] = []
+        self.orbits: list[np.ndarray] = []
+        self.reps: list[np.ndarray] = []
+        self.invs: list[np.ndarray] = []
         self._identity = np.arange(degree, dtype=np.int64)
 
     def order(self) -> int:
-        n = 1
-        for tr in self.transversals:
-            n *= len(tr)
-        return n
+        return math.prod(len(r) for r in self.reps)
 
     def extend(self, arr: np.ndarray) -> bool:
         """Add one generator; True if the group grew."""
-        arr = np.asarray(arr, dtype=np.int64)
-        _, residue = self._sift(arr)
-        if np.all(residue == self._identity):
+        residue = self._sift(np.asarray(arr, dtype=np.int64)[None])[0]
+        if np.array_equal(residue, self._identity):
             return False
         self.pool.append(residue)
         self._complete()
@@ -165,41 +177,49 @@ class StabilizerChain:
         prefix = self.base[:k]
         return [g for g in self.pool if all(int(g[b]) == b for b in prefix)]
 
-    def _sift(self, arr: np.ndarray, start: int = 0) -> tuple[int, np.ndarray]:
+    def _sift(self, rows: np.ndarray, start: int = 0) -> np.ndarray:
+        """Each row sifted from level start on, until its base image leaves
+        a level's orbit; a row of the group ends at the identity."""
+        rows = rows.copy()
+        live = np.arange(len(rows))
         for k in range(start, len(self.base)):
-            img = int(arr[self.base[k]])
-            tr = self.transversals[k]
-            rep = tr.get(img)
-            if rep is None:
-                return k, arr
-            arr = np.argsort(rep)[arr]  # apply arr, then rep^{-1}
-        return len(self.base), arr
+            pos = self.orbits[k][rows[live, self.base[k]]]
+            live, pos = live[pos >= 0], pos[pos >= 0]
+            # row, then rep^{-1}
+            rows[live] = np.take_along_axis(self.invs[k][pos], rows[live], axis=1)
+        return rows
 
     def _rebuild_orbit(self, k: int) -> None:
         beta = self.base[k]
-        tr = {beta: self._identity}
+        orbit = np.full(self.degree, -1, dtype=np.intp)
+        orbit[beta] = 0
+        reps = [self._identity]
         frontier = [beta]
         gens = self._gens_at(k)
         while frontier:
             new = []
             for pt in frontier:
-                rep = tr[pt]
+                rep = reps[orbit[pt]]
                 for g in gens:
                     img = int(g[pt])
-                    if img not in tr:
-                        tr[img] = g[rep]  # rep, then g
+                    if orbit[img] < 0:
+                        orbit[img] = len(reps)
+                        reps.append(g[rep])  # rep, then g
                         new.append(img)
             frontier = new
-        self.transversals[k] = tr
+        reps = np.array(reps)
+        invs = np.empty_like(reps)
+        np.put_along_axis(invs, reps, self._identity[None], axis=1)
+        self.orbits[k], self.reps[k], self.invs[k] = orbit, reps, invs
 
     def _ensure_base(self) -> None:
         for g in self.pool:
-            if np.all(g == self._identity):
+            if np.array_equal(g, self._identity):
                 continue
             if all(int(g[b]) == b for b in self.base):
-                moved = int(np.nonzero(g != self._identity)[0][0])
-                self.base.append(moved)
-                self.transversals.append({moved: self._identity})
+                self.base.append(int(np.nonzero(g != self._identity)[0][0]))
+                for level in (self.orbits, self.reps, self.invs):
+                    level.append(None)
 
     def _complete(self) -> None:
         while True:
@@ -212,20 +232,19 @@ class StabilizerChain:
             self.pool.append(residue)
 
     def _find_missing_residue(self) -> np.ndarray | None:
-        for k in range(len(self.base)):
-            beta = self.base[k]
-            tr = self.transversals[k]
+        """The first Schreier generator, by level, orbit point and pool
+        member, that does not sift to the identity, sifted."""
+        for k, beta in enumerate(self.base):
             gens = self._gens_at(k)
-            for pt, rep in tr.items():
-                for g in gens:
-                    sg = g[rep]  # rep, then g
-                    t = tr[int(sg[beta])]
-                    schreier = np.argsort(t)[sg]
-                    if np.all(schreier == self._identity):
-                        continue
-                    _, residue = self._sift(schreier, start=k + 1)
-                    if not np.all(residue == self._identity):
-                        return residue
+            if not gens:
+                continue
+            # rep, then g, for every representative and generator, rep-major
+            sg = np.stack(gens)[:, self.reps[k]].swapaxes(0, 1).reshape(-1, self.degree)
+            t_inv = self.invs[k][self.orbits[k][sg[:, beta]]]
+            residues = self._sift(np.take_along_axis(t_inv, sg, axis=1), start=k + 1)
+            moved = np.flatnonzero(np.any(residues != self._identity, axis=1))
+            if len(moved):
+                return residues[moved[0]]
         return None
 
 
@@ -241,48 +260,131 @@ def bsgs_order(generators: Sequence[Permutation], degree: int | None = None) -> 
     return chain.order()
 
 
+class _Base:
+    """A base of a group with the group's transversals on it.
+
+    Sifting an element's images of the base points through the
+    transversals gives its coordinates, one orbit position per level.  On
+    the group they are a bijection onto the product of the basic orbits,
+    so the mixed-radix number they form is an exact key below the order of
+    the group (``size``): two elements of the group with the same base
+    images are equal.  A base image off its level's orbit adds ``size`` to
+    the key, so a row that does not sift has a key of at least ``size``.
+    A row outside the group can also sift like a member, so membership of
+    such a row needs a full-row check after the key.
+    """
+
+    def __init__(self, points: Sequence[int], orbits: list[np.ndarray],
+                 inverses: list[np.ndarray]):
+        """orbits: per level, each point's orbit position, -1 off the orbit;
+        inverses: per level but the last, the inverse representatives."""
+        self.points = np.array(points, dtype=np.intp)
+        sizes = [int(np.count_nonzero(o >= 0)) for o in orbits]
+        self.size = math.prod(sizes)
+        # per level, indexed by point: its position, and its term of the key
+        self._positions = [np.maximum(o, 0) for o in orbits]
+        self._terms = [np.where(o >= 0, o * math.prod(sizes[:k]), self.size).astype(np.int64)
+                       for k, o in enumerate(orbits)]
+        self._inverses = inverses
+
+    @classmethod
+    def of_chain(cls, chain: StabilizerChain) -> "_Base":
+        return cls(chain.base, chain.orbits, chain.invs[:-1])
+
+    @classmethod
+    def regular(cls, degree: int) -> "_Base":
+        """Point 0 is a base of a regular group: an element is its image of 0."""
+        return cls([0], [np.arange(degree, dtype=np.intp)], [])
+
+    def keys(self, images: np.ndarray) -> np.ndarray:
+        """Keys of the rows of base images; at least ``size`` for a row
+        that does not sift, which lies outside the group."""
+        images = images.T  # one row per base point
+        key = np.zeros(images.shape[1], dtype=np.int64)
+        for k, terms in enumerate(self._terms):
+            key += terms[images[0]]
+            if k < len(self._inverses):  # apply the representative's inverse
+                images = self._inverses[k][self._positions[k][images[0]], images[1:]]
+        return key
+
+
+class _Closure:
+    """The group generated by a growing list of rows of a group, found by
+    BFS on that group's base: only the new products become rows.
+
+    The rows are the identity, then each BFS level's new products (row,
+    then generator) in generator-major order of first occurrence.
+    """
+
+    def __init__(self, base: _Base, degree: int, gens: Sequence[np.ndarray] = ()):
+        self.base = base
+        ident = np.arange(degree, dtype=np.int64)[None]
+        self.rows = ident
+        self.keys = base.keys(ident[:, base.points])
+        self._slot = np.full(base.size, -1, dtype=np.intp)  # key -> row index
+        self._slot[self.keys] = 0
+        self.gens = list(gens)
+        self._grow(self.rows)
+
+    def holds(self, keys: np.ndarray) -> np.ndarray:
+        return self._slot[keys] >= 0
+
+    def table(self) -> tuple[np.ndarray, _Base, np.ndarray]:
+        return self.rows, self.base, self.keys
+
+    def add(self, gen: np.ndarray) -> None:
+        """Close again with one more generator.  The rows so far are closed
+        under the other generators, so only their products with gen start
+        the BFS."""
+        self.gens.append(gen)
+        self._grow(self.rows, [gen])
+
+    def _grow(self, frontier: np.ndarray, first: list[np.ndarray] | None = None) -> None:
+        """BFS from frontier, its first level by the generators first."""
+        rows, keys, n = [self.rows], [self.keys], len(self.rows)
+        gens = self.gens if first is None else first
+        while len(frontier) and gens:
+            images = frontier[:, self.base.points]
+            level, level_keys = [], []
+            for g in gens:
+                prod_keys = self.base.keys(g[images])  # row, then g
+                fresh = np.flatnonzero(self._slot[prod_keys] < 0)
+                new, at = np.unique(prod_keys[fresh], return_index=True)
+                order = np.argsort(at)  # first occurrences, in order
+                self._slot[new[order]] = np.arange(n, n + len(new))
+                n += len(new)
+                level.append(g[frontier[fresh[at[order]]]])
+                level_keys.append(new[order])
+            frontier = np.concatenate(level)
+            rows.append(frontier)
+            keys.append(np.concatenate(level_keys))
+            gens = self.gens
+        self.rows, self.keys = np.concatenate(rows), np.concatenate(keys)
+
+
 # ---------------------------------------------------------------------------
 # Materialized groups
 # ---------------------------------------------------------------------------
 
 
-def _close_elements(degree: int, gen_arrays: list[np.ndarray]) -> np.ndarray:
-    """BFS closure of a generating set, at most ``MATERIALIZE_CAP`` elements."""
-    ident = np.arange(degree, dtype=np.int64)
-    seen = {ident.tobytes()}
-    rows = [ident]
-    frontier = np.array([ident])
-    while len(frontier):
-        new_rows = []
-        for g in gen_arrays:
-            prods = g[frontier]  # row, then g
-            for r in prods:
-                key = r.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new_rows.append(r)
-        if len(seen) > MATERIALIZE_CAP:
-            raise GroupError(f"group has more than {MATERIALIZE_CAP} elements")
-        if not new_rows:
-            break
-        frontier = np.array(new_rows)
-        rows.extend(new_rows)
-    return np.array(rows, dtype=np.int64)
-
-
 class PermGroup:
-    """A finitely generated permutation group of fixed degree."""
+    """A finitely generated permutation group of fixed degree: its element
+    table, a base of it and the key of each table row on that base."""
 
-    def __init__(self, degree: int, generators: Sequence[Permutation], elements: np.ndarray):
+    def __init__(self, degree: int, generators: Sequence[Permutation], elements: np.ndarray,
+                 base: _Base, keys: np.ndarray):
         self.degree = degree
         self.generators = list(generators)
         self._elements = elements
-        self._element_keys = frozenset(r.tobytes() for r in elements)
+        self._base = base
+        self._keys = keys
+        self._slot = np.full(base.size, -1, dtype=np.intp)  # key -> table index
+        self._slot[keys] = np.arange(len(keys))
         self.order = len(elements)
         self._fingerprint: GroupFingerprint | None = None
         self._derived: PermGroup | None = None
-        # quotient and coset table, keyed by the element set of the kernel
-        self._quotients: dict[frozenset[bytes], tuple[PermGroup, tuple]] = {}
+        # quotient and coset table, keyed by the kernel's sorted table indices
+        self._quotients: dict[bytes, tuple[PermGroup, tuple]] = {}
 
     def element_array(self) -> np.ndarray:
         return self._elements
@@ -290,13 +392,31 @@ class PermGroup:
     def elements(self) -> list[Permutation]:
         return [Permutation(row) for row in self.element_array()]
 
+    def locate(self, rows) -> np.ndarray:
+        """Table index of each row (an image sequence), -1 for a row outside
+        the group: the key, then a full-row check."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.degree)
+        keys = self._base.keys(rows[:, self._base.points])
+        found = np.flatnonzero(keys < self._base.size)
+        idx = np.full(len(rows), -1, dtype=np.intp)
+        idx[found] = self._slot[keys[found]]
+        found = found[idx[found] >= 0]
+        same = np.all(self._elements[idx[found]] == rows[found], axis=1)
+        idx[found[~same]] = -1
+        return idx
+
+    def _index(self, images: np.ndarray) -> np.ndarray:
+        """Table indices of elements of the group, from their base images."""
+        return self._slot[self._base.keys(images)]
+
+    def _generator_rows(self) -> np.ndarray:
+        return np.array([g.images for g in self.generators],
+                        dtype=np.int64).reshape(-1, self.degree)
+
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        return np.array(p.images, dtype=np.int64).tobytes() in self._element_keys
-
-    def contains_key(self, key: bytes) -> bool:
-        return key in self._element_keys
+        return bool(self.locate(p.images)[0] >= 0)
 
     def same_elements(self, other: "PermGroup") -> bool:
         """Literal equality as subgroups of the same symmetric group."""
@@ -305,7 +425,7 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if self.degree != other.degree:
             return False
-        return all(g in other for g in self.generators)
+        return bool(np.all(other.locate(self._generator_rows()) >= 0))
 
     def random_element(self, rng: np.random.Generator) -> Permutation:
         arr = self.element_array()
@@ -334,7 +454,8 @@ class PermGroup:
 
 def generate_group(generators: Sequence[Permutation],
                    degree: int | None = None) -> PermGroup:
-    """Generate a group and its element table.
+    """Generate a group and its element table, by BFS on the base of a
+    stabilizer chain of the generators.
 
     Raises ``GroupError`` above ``MATERIALIZE_CAP`` elements; ``bsgs_order``
     gives the order of such a group.
@@ -347,15 +468,50 @@ def generate_group(generators: Sequence[Permutation],
     for g in gens:
         if g.degree != degree:
             raise GroupError(f"degree mismatch: {g.degree} vs {degree}")
-    arrays = [np.array(g.images, dtype=np.int64) for g in gens]
-    return PermGroup(degree, gens, _close_elements(degree, arrays))
+    arrays = _moving_generators(gens)
+    chain = StabilizerChain(degree)
+    for a in arrays:
+        chain.extend(a)
+    if chain.order() > MATERIALIZE_CAP:
+        raise GroupError(f"group has more than {MATERIALIZE_CAP} elements")
+    return PermGroup(degree, gens, *_Closure(_Base.of_chain(chain), degree, arrays).table())
 
 
-def _conjugate_rows(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Row-wise g h g^{-1} for every g in rows (composition left-to-right)."""
-    inv = np.argsort(rows, axis=1)
-    step = h[inv]  # g^{-1} then h
-    return np.take_along_axis(rows, step, axis=1)  # ... then g
+def _moving_generators(gens: Sequence[Permutation]) -> list[np.ndarray]:
+    """The generators' image arrays without the identity and repeats, which
+    extend no chain and make no product a BFS level has not seen before."""
+    distinct = dict.fromkeys(g.images for g in gens if not g.is_identity())
+    return [np.array(im, dtype=np.int64) for im in distinct]
+
+
+def _subgroup(group: PermGroup, mask: np.ndarray) -> PermGroup:
+    """The subgroup of the masked table rows, on the group's base."""
+    sub = PermGroup(group.degree, [], group.element_array()[mask], group._base,
+                    group._keys[mask])
+    sub.generators = _reduced_generators(sub)
+    return sub
+
+
+def _reduced_generators(group: PermGroup) -> list[Permutation]:
+    """The table rows that extend a stabilizer chain in turn: a small
+    generating set.  A row extends the chain iff it lies outside the group
+    generated by the rows taken before it, so each step takes the first
+    row outside the closure of those rows."""
+    rows = group.element_array()
+    closure = _Closure(group._base, group.degree)
+    while True:
+        outside = np.flatnonzero(~closure.holds(group._keys))
+        if not len(outside):
+            return [Permutation(g) for g in closure.gens]
+        closure.add(rows[outside[0]])
+
+
+def _conjugates(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """The rows g^{-1} h g for every h in hs and g in gs, h-major."""
+    ginv = np.argsort(gs, axis=1)
+    step = hs[:, ginv]  # g^{-1}, then h
+    conj = np.take_along_axis(np.broadcast_to(gs, step.shape), step, axis=2)  # ... then g
+    return conj.reshape(-1, gs.shape[1])
 
 
 def set_stabilizer(group: PermGroup, subset: Iterable[int]) -> PermGroup:
@@ -365,16 +521,7 @@ def set_stabilizer(group: PermGroup, subset: Iterable[int]) -> PermGroup:
         raise GroupError("subset out of range")
     rows = group.element_array()
     imgs = np.sort(rows[:, sub], axis=1) if sub else np.empty((len(rows), 0), dtype=np.int64)
-    mask = np.all(imgs == np.array(sub, dtype=np.int64), axis=1)
-    kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept)
-
-
-def _reduced_generators(rows, degree: int) -> list[Permutation]:
-    """The rows (image sequences) that extend a stabilizer chain in turn:
-    a small generating set of the group that all of them generate."""
-    chain = StabilizerChain(degree)
-    return [Permutation(row) for row in rows if chain.extend(row)]
+    return _subgroup(group, np.all(imgs == np.array(sub, dtype=np.int64), axis=1))
 
 
 def centralizer(group: PermGroup, sub: PermGroup) -> PermGroup:
@@ -383,63 +530,58 @@ def centralizer(group: PermGroup, sub: PermGroup) -> PermGroup:
         raise GroupError("degree mismatch")
     rows = group.element_array()
     mask = np.ones(len(rows), dtype=bool)
-    for h in sub.generators:
-        harr = np.array(h.images, dtype=np.int64)
-        conj = _conjugate_rows(rows, harr)
-        mask &= np.all(conj == harr, axis=1)
-    kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept)
+    for h in sub._generator_rows():
+        mask &= np.all(h[rows] == rows[:, h], axis=1)  # row, then h == h, then row
+    return _subgroup(group, mask)
 
 
 def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
-    """Exact normalizer of sub in group, by element scan."""
+    """Exact normalizer of sub in group, by element scan.  An element g
+    normalizes sub iff g^{-1} h g lies in sub for every generator h."""
     if group.degree != sub.degree:
         raise GroupError("degree mismatch")
     rows = group.element_array()
     mask = np.ones(len(rows), dtype=bool)
-    for h in sub.generators:
-        harr = np.array(h.images, dtype=np.int64)
-        conj = _conjugate_rows(rows, harr)
-        inside = np.fromiter(
-            (sub.contains_key(c.tobytes()) for c in conj), dtype=bool, count=len(conj)
-        )
-        mask &= inside
-    kept = rows[mask]
-    return PermGroup(group.degree, _reduced_generators(kept, group.degree), kept)
+    for h in sub._generator_rows():
+        mask &= sub.locate(_conjugates(h[None], rows)) >= 0
+    return _subgroup(group, mask)
+
+
+def normalizes(group: PermGroup, sub: PermGroup) -> bool:
+    """True iff every generator of group conjugates sub into itself."""
+    if group.degree != sub.degree:
+        raise GroupError("degree mismatch")
+    conj = _conjugates(sub._generator_rows(), group._generator_rows())
+    return bool(np.all(sub.locate(conj) >= 0))
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
-    """Commutator subgroup, via normal closure of generator commutators,
-    computed on the first call and kept on the group."""
-    if group._derived is not None:
-        return group._derived
-    gens = group.generators
-    degree = group.degree
-    gen_arrays = [np.array(g.images, dtype=np.int64) for g in gens]
-    comms: list[np.ndarray] = []
-    for a in gen_arrays:
-        ainv = np.argsort(a)
-        for b in gen_arrays:
-            binv = np.argsort(b)
-            # [a,b] = a^{-1} b^{-1} a b under left-to-right composition
-            comm = b[a[binv[ainv]]]
-            comms.append(comm)
-    # normal closure: conjugate the generating set by group generators until stable
-    closure_gens: dict[bytes, np.ndarray] = {c.tobytes(): c for c in comms}
-    frontier = list(closure_gens.values())
-    while frontier:
-        new = []
-        for c in frontier:
-            for g in gen_arrays:
-                ginv = np.argsort(g)
-                conj = g[c[ginv]]
-                key = conj.tobytes()
-                if key not in closure_gens:
-                    closure_gens[key] = conj
-                    new.append(conj)
-        frontier = new
-    group._derived = generate_group(_reduced_generators(closure_gens.values(), degree),
-                                    degree=degree)
+    """Commutator subgroup, the normal closure of the generator commutators,
+    computed on the first call and kept on the group.
+
+    A commutator or conjugate becomes a generator only when it lies outside
+    the closure of the generators before it, so the closure ends normal
+    with a small generating set.
+    """
+    if group._derived is None:
+        base = group._base
+        gens = group._generator_rows()
+        inv = np.argsort(gens, axis=1)
+        m = np.arange(len(gens))
+        # [a,b] = a^{-1} b^{-1} a b under left-to-right composition, a-major
+        step = inv[m[None, :, None], inv[:, None, :]]  # a^{-1}, then b^{-1}
+        step = gens[m[:, None, None], step]  # ... then a
+        comms = gens[m[None, :, None], step].reshape(-1, group.degree)  # ... then b
+        closure = _Closure(base, group.degree)
+        batches = deque([comms])
+        while batches:
+            batch = batches.popleft()
+            for c, key in zip(batch, base.keys(batch[:, base.points])):
+                if not closure.holds(key):
+                    closure.add(c)
+                    batches.append(_conjugates(c[None], gens))
+        group._derived = PermGroup(group.degree, [Permutation(c) for c in closure.gens],
+                                   *closure.table())
     return group._derived
 
 
@@ -456,45 +598,55 @@ def _kept_quotient(group: PermGroup, normal: PermGroup) -> tuple[PermGroup, tupl
     """The quotient by normal together with its coset table."""
     if group.degree != normal.degree:
         raise GroupError("degree mismatch")
-    key = normal._element_keys
+    inside = group.locate(normal.element_array())
+    if np.any(inside < 0):
+        raise GroupError("subgroup not contained in group")
+    key = np.sort(inside).tobytes()
     if key not in group._quotients:
-        for h in normal.generators:
-            if h not in group:
-                raise GroupError("subgroup not contained in group")
-            for g in group.generators:
-                conj = compose(compose(g.inverse(), h), g)
-                if conj not in normal:
-                    raise GroupError("subgroup is not normal")
+        if not normalizes(group, normal):
+            raise GroupError("subgroup is not normal")
         table = _coset_table(group, normal)
         n_cosets = len(table[1])
         if n_cosets * normal.order != group.order:
             raise GroupError("coset decomposition inconsistent")
-        qgens = [_coset_image(table, g) for g in group.generators]
-        quotient = generate_group(qgens or [identity(n_cosets)], degree=n_cosets)
+        qgens = [_coset_image(group, table, g) for g in group.generators]
+        # the coset action is regular, so point 0 is a base of the quotient
+        closure = _Closure(_Base.regular(n_cosets), n_cosets, _moving_generators(qgens))
+        quotient = PermGroup(n_cosets, qgens or [identity(n_cosets)], *closure.table())
         group._quotients[key] = (quotient, table)
     return group._quotients[key]
 
 
 def _coset_table(group: PermGroup, normal: PermGroup):
-    """The cosets N.g of a normal subgroup, as a pair: the coset index of
-    every element of the group, and one representative per coset."""
-    nrows = normal.element_array()
-    coset_of: dict[bytes, int] = {}
-    reps: list[np.ndarray] = []
-    for row in group.element_array():
-        if row.tobytes() in coset_of:
-            continue
-        for p in row[nrows]:  # apply n, then row: the coset N.row
-            coset_of[p.tobytes()] = len(reps)
-        reps.append(row)
-    return coset_of, reps
+    """The cosets N.g of a normal subgroup in the group's table order, as a
+    pair: the coset index of every table row, and the table index of the
+    first row of each coset.
+
+    Each element is labelled with the least table index of its coset, by
+    min-label propagation over the maps g -> (h, then g), one per generator
+    h of N, with pointer jumping.
+    """
+    rows = group.element_array()
+    maps = [group._index(rows[:, h[group._base.points]]) for h in normal._generator_rows()]
+    label = np.arange(len(rows))
+    while True:
+        new = label
+        for m in maps:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    first = label == np.arange(len(rows))
+    return np.cumsum(first)[label] - 1, np.flatnonzero(first)
 
 
-def _coset_image(table, p: Permutation) -> Permutation:
-    """Image of p in the coset-action quotient, as a quotient permutation."""
+def _coset_image(group: PermGroup, table, p: Permutation) -> Permutation:
+    """Image of p, an element of the group, in the coset-action quotient."""
     coset_of, reps = table
+    rep_images = group.element_array()[reps][:, group._base.points]
     parr = np.array(p.images, dtype=np.int64)
-    return Permutation([coset_of[parr[rep].tobytes()] for rep in reps])
+    return Permutation(coset_of[group._index(parr[rep_images])])  # rep, then p
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +681,26 @@ class GroupFingerprint:
 
 
 def element_order_histogram(group: PermGroup) -> dict[int, int]:
-    """Number of elements of each order, by powering the whole element table
-    until every row reaches the identity (one pass per power)."""
-    rows = group.element_array()
+    """Number of elements of each order.  Two elements of the group that
+    agree on its base are equal, so g^k is the identity iff it fixes the
+    base: only the base images are powered, one pass per power."""
+    rows, points = group.element_array(), group._base.points
     orders = np.zeros(len(rows), dtype=np.int64)
-    power, k = rows, 1
+    power, k = np.ascontiguousarray(rows[:, points]), 1  # base images of g^k
     while not orders.all():
-        orders[(orders == 0) & np.all(power == np.arange(group.degree), axis=1)] = k
-        power, k = np.take_along_axis(rows, power, axis=1), k + 1  # power, then row
+        orders[(orders == 0) & np.all(power == points, axis=1)] = k
+        power, k = np.take_along_axis(rows, power, axis=1), k + 1  # g^k, then g
     values, counts = np.unique(orders, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 def center_order(group: PermGroup) -> int:
-    rows = group.element_array()
+    """Number of elements commuting with every generator, compared on the
+    base (both products lie in the group)."""
+    rows, points = group.element_array(), group._base.points
     mask = np.ones(len(rows), dtype=bool)
-    for h in group.generators:
-        harr = np.array(h.images, dtype=np.int64)
-        mask &= np.all(harr[rows] == rows[:, harr], axis=1)
+    for h in group._generator_rows():
+        mask &= np.all(h[rows[:, points]] == rows[:, h[points]], axis=1)
     return int(mask.sum())
 
 
@@ -789,19 +943,20 @@ def split_central_extension_check(big: PermGroup, center_gen: Permutation) -> st
         ab, zbar = big, center_gen
     else:
         ab, table = _kept_quotient(big, derived)
-        zbar = _coset_image(table, center_gen)
+        zbar = _coset_image(big, table, center_gen)
     if _is_a_square(ab, zbar):
         return "inconclusive"
     return "split"
 
 
 def _is_a_square(ab: PermGroup, el: Permutation) -> bool:
-    """True iff el lies in 2A for the abelian group A = ab, i.e. no C2
-    character sees it.  In an abelian group the squares form the subgroup
-    2A, and it holds every element of odd order (x = (x^((o+1)/2))^2)."""
-    rows = ab.element_array()
-    squares = np.take_along_axis(rows, rows, axis=1)  # row, then row
-    return bool(np.all(squares == np.array(el.images, dtype=np.int64), axis=1).any())
+    """True iff el, an element of the abelian group A = ab, lies in 2A,
+    i.e. no C2 character sees it.  In an abelian group the squares form the
+    subgroup 2A, and it holds every element of odd order
+    (x = (x^((o+1)/2))^2).  Squares and el are compared on the base."""
+    rows, points = ab.element_array(), ab._base.points
+    squares = np.take_along_axis(rows, rows[:, points], axis=1)  # row, then row
+    return bool(np.all(squares == np.array(el.images, dtype=np.int64)[points], axis=1).any())
 
 
 def diagonal_quotient_stabilizer(g_table: Sequence[Sequence[int]]) -> PermGroup:
@@ -826,29 +981,10 @@ def diagonal_quotient_stabilizer(g_table: Sequence[Sequence[int]]) -> PermGroup:
             for k in range(n):
                 if table[table[i][j]][k] != table[i][table[j][k]]:
                     raise GroupError("table is not associative")
-    group = generate_group(_reduced_generators(table, n) or [identity(n)], degree=n)
+    rows = np.array(table, dtype=np.int64)
+    regular = PermGroup(n, [], rows, _Base.regular(n), rows[:, 0])  # row i maps 0 to i
+    group = generate_group(_reduced_generators(regular) or [identity(n)], degree=n)
     if group.order != n:
         raise GroupError("regular image has wrong order")
     return group
 
-
-def are_conjugate_subgroups(ambient: PermGroup, a: PermGroup, b: PermGroup) -> bool:
-    """Search ambient for an element conjugating a onto b (exact scan)."""
-    if a.order != b.order:
-        return False
-    if a.same_elements(b):
-        return True
-    if fingerprint(a) != fingerprint(b):
-        return False
-    rows = ambient.element_array()
-    gen_arrays = [np.array(g.images, dtype=np.int64) for g in a.generators]
-    ok = np.ones(len(rows), dtype=bool)
-    for garr in gen_arrays:
-        conj = _conjugate_rows(rows, garr)
-        inside = np.fromiter(
-            (b.contains_key(c.tobytes()) for c in conj), dtype=bool, count=len(conj)
-        )
-        ok &= inside
-        if not ok.any():
-            return False
-    return bool(ok.any())

@@ -226,7 +226,7 @@ def test_acceptance_11_property_suites():
     chart_ok = max(
         SF._projective_distance(r1.lines[i].plucker, r2.lines[j].plucker)
         for i, j in enumerate(match)) < 1e-8
-    # basepoint independence of Generic20 monodromy up to conjugacy
+    # basepoint independence of Generic20 monodromy: both reach all of W(E6)
     groups = []
     for seed in (11, 22):
         rep = M.run_campaign(M.Campaign(
@@ -235,7 +235,7 @@ def test_acceptance_11_property_suites():
             loop_budget=30, seed=seed))
         groups.append(rep.group)
     base_ok = (groups[0].order == groups[1].order
-               and P.are_conjugate_subgroups(S.weyl_e6(), groups[0], groups[1]))
+               and groups[0].same_elements(groups[1]))
     ok = id_ok and inv_ok and comp_ok and chart_ok and base_ok
     verdict(11, ok, "loop identity/inverse/composition laws, chart "
                     "independence, basepoint independence all hold")

@@ -126,7 +126,7 @@ def test_report_json_roundtrippable(s4_report):
 
 def test_generic20_basepoint_independence():
     # Cor. on open restrictions: campaigns at two basepoints agree up to
-    # conjugacy in W(E6) (here: both reach the full group)
+    # conjugacy in W(E6) (here: both reach the full group, so they are equal)
     fam = F.generic20_family()
     groups = []
     for seed in (101, 202):
@@ -137,7 +137,7 @@ def test_generic20_basepoint_independence():
         assert report.plateau_reached
         groups.append(report.group)
     assert groups[0].order == groups[1].order == 51840
-    assert P.are_conjugate_subgroups(S.weyl_e6(), groups[0], groups[1])
+    assert groups[0].same_elements(groups[1])
 
 
 # sha256 prefix of each campaign's tracked permutations, in loop order, in

@@ -1,5 +1,7 @@
 """Exact group-engine tests: generation, scans, fingerprints, oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -431,15 +433,117 @@ def test_same_elements_compares_unmaterialized_groups():
     assert klein.same_elements(P.generate_group([c, d]))
 
 
-def test_conjugacy_scan_when_fingerprints_agree():
-    s4 = P.named_group("S4")
-    swap01 = P.generate_group([P.from_cycles(4, [[0, 1]])])
-    swap12 = P.generate_group([P.from_cycles(4, [[1, 2]])])
-    assert not swap01.same_elements(swap12)
-    assert P.are_conjugate_subgroups(s4, swap01, swap12)
-    # the normal Klein group and <(0 1), (2 3)>: same fingerprint, not conjugate
-    normal_klein = P.generate_group([P.from_cycles(4, [[0, 1], [2, 3]]),
-                                     P.from_cycles(4, [[0, 2], [1, 3]])])
-    two_swaps = P.generate_group([P.from_cycles(4, [[0, 1]]), P.from_cycles(4, [[2, 3]])])
-    assert P.fingerprint(normal_klein) == P.fingerprint(two_swaps)
-    assert not P.are_conjugate_subgroups(s4, normal_klein, two_swaps)
+
+# ---------------------------------------------------------------------------
+# keyed tables against the scalar closure and chain filter
+# ---------------------------------------------------------------------------
+
+
+def scalar_close_elements(degree, gen_arrays):
+    """Oracle: BFS closure keyed by row bytes in a Python set, new products
+    in generator-major order of first occurrence."""
+    ident = np.arange(degree, dtype=np.int64)
+    seen = {ident.tobytes()}
+    rows = [ident]
+    frontier = np.array([ident])
+    while len(frontier):
+        new_rows = []
+        for g in gen_arrays:
+            for r in g[frontier]:  # row, then g
+                key = r.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    new_rows.append(r)
+        if not new_rows:
+            break
+        frontier = np.array(new_rows)
+        rows.extend(new_rows)
+    return np.array(rows, dtype=np.int64)
+
+
+def scalar_reduced_generators(rows, degree):
+    """Oracle: the rows that extend a stabilizer chain in turn."""
+    chain = P.StabilizerChain(degree)
+    return [P.Permutation(row) for row in rows if chain.extend(row)]
+
+
+@st.composite
+def small_generating_sets(draw):
+    """One to three generators of degree 4 to 10, each permuting two blocks
+    of at most 6 points, so the group has at most 6! 4! elements."""
+    n = draw(st.integers(4, 10))
+    cut = draw(st.integers(n - 6 if n > 6 else 0, min(n, 6)))
+    points = np.array(draw(st.permutations(range(n))))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        images = np.arange(n)
+        for block in (points[:cut], points[cut:]):
+            images[block] = block[draw(st.permutations(range(len(block))))]
+        gens.append(P.Permutation(images))
+    return n, gens, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@given(small_generating_sets())
+@settings(max_examples=40, deadline=None)
+def test_keyed_tables_match_the_scalar_closure_and_chain_filter(case):
+    n, gens, rng = case
+    g = P.generate_group(gens, degree=n)
+    oracle = scalar_close_elements(n, [np.array(x.images, dtype=np.int64) for x in gens])
+    assert np.array_equal(g.element_array(), oracle)
+    rows = g.element_array()
+    subset = [int(i) for i in np.flatnonzero(rng.random(n) < 0.4)]
+    stab = P.set_stabilizer(g, subset)
+    kept = rows[np.all(np.sort(rows[:, subset], axis=1) == sorted(subset), axis=1)]
+    assert np.array_equal(stab.element_array(), kept)
+    assert stab.generators == scalar_reduced_generators(kept, n)
+    sub = P.generate_group([g.random_element(rng)], degree=n)
+    for h in (sub, g):
+        cen = P.centralizer(g, h)
+        mask = np.ones(len(rows), dtype=bool)
+        for x in h.generators:  # g x g^{-1} == x, conjugating with argsort
+            x = np.array(x.images)
+            mask &= np.all(np.take_along_axis(rows, x[np.argsort(rows, axis=1)], axis=1) == x,
+                           axis=1)
+        kept = rows[mask]
+        assert cen.generators == scalar_reduced_generators(kept, n)
+    # membership of every element, and of a row outside the group
+    assert np.array_equal(g.locate(rows), np.arange(g.order))
+    outside = [P.Permutation(r) for r in rng.permutation(np.tile(np.arange(n), (5, 1)), axis=1)]
+    for p in outside:
+        assert (p in g) == any(np.array_equal(p.images, row) for row in rows)
+
+
+def test_weyl_table_and_stabilizer_generators_are_pinned():
+    w = S.weyl_e6()
+    assert hashlib.sha256(w.element_array().tobytes()).hexdigest()[:16] == "5661cdd2ab800d26"
+    triple = S.tritangent_triples()[0]
+    assert triple == (0, 7, 12)
+    stab = P.set_stabilizer(w, triple)
+    assert [P.cycle_string(g) for g in stab.generators] == [
+        "(0 7)(2 13)(3 14)(4 15)(5 16)(8 17)(9 18)(10 19)(11 20)(21 26)(22 25)(23 24)",
+        "(0 7 12)(1 16 20 6 11 5)(2 23 8 17 24 13)(3 25 9 18 22 14)(4 26 10 19 21 15)",
+        "(0 7 12)(1 13 17 6 8 2)(3 21 9 18 26 14)(4 22 10 19 25 15)(5 23 11 20 24 16)",
+        "(0 7)(2 14)(3 13)(4 15)(5 16)(8 18)(9 17)(10 19)(11 20)(21 26)(22 23)(24 25)",
+        "(0 12)(1 13 21 11 6 8 26 16)(2 3 4 5 17 18 19 20)(9 25 15 23 14 22 10 24)",
+    ]
+    assert P.derived_subgroup(w).order == 25920
+    assert P.abelian_invariants(w) == (2,)
+
+
+def test_long_base_keys_stay_exact():
+    # C2 wr C15 on 30 points: a base of 15 points, far past one int64 of
+    # radix-30 digits; the keys are transversal coordinates below the order
+    flip = P.from_cycles(30, [(0, 1)])
+    turn = P.from_cycles(30, [tuple(range(0, 30, 2)), tuple(range(1, 30, 2))])
+    g = P.generate_group([flip, turn])
+    assert g.order == 2**15 * 15 == 491520
+    assert P.element_order_histogram(g) == {
+        1: 1, 2: 32767, 3: 2048, 5: 16384, 6: 63488, 10: 114688, 15: 131072, 30: 131072}
+    # a transposition of two points off the base and in different blocks
+    # agrees with the identity on the base but breaks the blocks
+    off = [i for i in range(30) if i not in set(g._base.points.tolist())]
+    a = off[0]
+    b = next(i for i in off if i // 2 != a // 2)
+    swap = P.from_cycles(30, [(a, b)])
+    assert g.locate(swap.images)[0] == -1 and swap not in g
+    assert P.from_cycles(30, [(2 * (a // 2), 2 * (a // 2) + 1)]) in g
