@@ -18,7 +18,8 @@ import numpy as np
 
 from .forms import FamilySpec
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, form_space, matvec, random_unitary, track_segment)
+                      TrackOptions, form_space, matvec, random_unitary,
+                      track_segment)
 from . import linesolver as ls
 from .perms import Permutation
 from .tracker import LoopRun, TrackedPermutation
@@ -170,15 +171,17 @@ class FlexSystem(SegmentSystem):
         hvals = np.linalg.det(np.einsum("...ijk,...nk->...nij", self.tensor(t), p))
         return np.stack([fvals, hvals], axis=-1)
 
-    def res_jac_dt(self, state: np.ndarray, t):
+    def res_jac_dt(self, state: np.ndarray, t, reads: str | None = None):
         p = self.points(state)
         coeffs = self.coeffs(t)
         a = self.tensor(t)
         mono, gmono = SPACE3.monomial_tables(p)  # (..,n,10), (..,n,6)
         m = np.einsum("...ijk,...nk->...nij", a, p)
         adj = _adjugate3(m)
-        r = np.stack([matvec(mono, coeffs), np.linalg.det(m)], axis=-1)
-        j = np.empty(r.shape + (2,), dtype=complex)
+        r = rt = None
+        if reads != "rt":
+            r = np.stack([matvec(mono, coeffs), np.linalg.det(m)], axis=-1)
+        j = np.empty(state.shape + (2,), dtype=complex)
         _, grad_ops = SPACE3.gradient_ops()
         for k in range(2):
             j[..., 0, k] = matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
@@ -186,10 +189,11 @@ class FlexSystem(SegmentSystem):
             # bit for bit the one-lane einsum "nij,ji->n", which a view is not
             a_k = np.ascontiguousarray(np.broadcast_to(a[..., None, :, :, k], adj.shape))
             j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k)
-        # t-derivative: coefficient difference for F, tensor difference for H
-        mdot = np.einsum("...ijk,...nk->...nij", self.a_diff, p)
-        ht = np.einsum("...nij,...nji->...n", adj, mdot)
-        rt = np.stack([matvec(mono, self.c_diff), ht], axis=-1)
+        if reads != "r":
+            # t-derivative: coefficient difference for F, tensor difference for H
+            mdot = np.einsum("...ijk,...nk->...nij", self.a_diff, p)
+            ht = np.einsum("...nij,...nji->...n", adj, mdot)
+            rt = np.stack([matvec(mono, self.c_diff), ht], axis=-1)
         return r, j, rt
 
     def update(self, state: np.ndarray, delta: np.ndarray) -> np.ndarray:

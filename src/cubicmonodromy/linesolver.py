@@ -25,7 +25,8 @@ from scipy.optimize import linear_sum_assignment
 from . import schlafli
 from .forms import SPACE, CubicForm, fermat_cubic
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, TrackTelemetry, matvec, random_unitary, track_segment)
+                      TrackOptions, TrackTelemetry, matvec, random_unitary,
+                      track_segment)
 
 # free coordinate pairs of the six charts; dependents are the complements
 CHART_FREE = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -115,33 +116,6 @@ def basis_from_chart(chart: int, params: np.ndarray) -> np.ndarray:
     return basis
 
 
-def chart_params_from_basis(basis: np.ndarray, chart: int) -> np.ndarray | None:
-    """Chart parameters of the spanned line, or None if not visible."""
-    free, dep = CHART_FREE[chart], CHART_DEP[chart]
-    mf = basis[:, free]
-    det = mf[0, 0] * mf[1, 1] - mf[0, 1] * mf[1, 0]
-    scale = np.abs(mf).max()
-    if scale == 0 or abs(det) < 1e-12 * scale * scale:
-        return None
-    c = np.linalg.solve(mf, basis[:, dep])
-    return np.array([c[0, 0], c[1, 0], c[0, 1], c[1, 1]])
-
-
-def best_chart(basis: np.ndarray) -> tuple[int, np.ndarray]:
-    """The chart minimizing the largest parameter magnitude."""
-    best = None
-    for chart in range(6):
-        params = chart_params_from_basis(basis, chart)
-        if params is None:
-            continue
-        height = np.abs(params).max()
-        if best is None or height < best[0]:
-            best = (height, chart, params)
-    if best is None:
-        raise SolveError("line is invisible in every chart")
-    return best[1], best[2]
-
-
 def plucker_from_basis(basis: np.ndarray) -> np.ndarray:
     v1, v2 = basis
     p = np.array([v1[i] * v2[j] - v1[j] * v2[i] for i, j in _PLUCKER_PAIRS])
@@ -159,11 +133,6 @@ def normalize_plucker(p: np.ndarray) -> np.ndarray:
         if abs(c) > 1e-6:
             return p * (abs(c) / c)
     raise SolveError("degenerate Plucker vector")
-
-
-def line_from_basis(basis: np.ndarray) -> Line:
-    chart, params = best_chart(basis)
-    return Line(chart=chart, params=params, plucker=plucker_from_basis(basis))
 
 
 def plucker_quadric_residual(p: np.ndarray) -> float:
@@ -290,6 +259,14 @@ def fermat_start_lines() -> list[Line]:
     return lines
 
 
+@lru_cache(maxsize=None)
+def _fermat_start_bases() -> np.ndarray:
+    """Spanning rows of the 27 Fermat lines, shape (27, 2, 4)."""
+    bases = np.array([l.basis() for l in fermat_start_lines()])
+    bases.setflags(write=False)
+    return bases
+
+
 # ---------------------------------------------------------------------------
 # The chart system along a coefficient segment
 # ---------------------------------------------------------------------------
@@ -301,6 +278,35 @@ class SheetState:
 
     charts: np.ndarray  # (..., n) int
     params: np.ndarray  # (..., n, 4) complex
+
+    def __getitem__(self, index) -> "SheetState":
+        """The entries of the leading axis that ``index`` selects: lanes of a
+        stacked state, or sheets of one lane."""
+        return SheetState(charts=self.charts[index], params=self.params[index])
+
+
+def best_charts(bases: np.ndarray) -> SheetState:
+    """The chart of each line that minimizes its largest parameter magnitude.
+
+    ``bases`` holds two spanning rows per line, shape (n, 2, 4).  A chart
+    shows a line when the 2x2 block of its free columns has |det| of at
+    least 1e-12 times the square of the block's largest entry; of the
+    charts that show it, the first with the least height wins.  One
+    batched 2x2 solve gives every chart's parameters.  Raises SolveError
+    for a line that no chart shows.
+    """
+    bases = np.asarray(bases, dtype=complex)
+    free = bases[:, :, CHART_FREE].swapaxes(1, 2)  # (n, chart, row, col)
+    dep = bases[:, :, CHART_DEP].swapaxes(1, 2)
+    det = free[..., 0, 0] * free[..., 1, 1] - free[..., 0, 1] * free[..., 1, 0]
+    scale = np.abs(free).max(axis=(-2, -1))
+    visible = (scale != 0) & ~(np.abs(det) < 1e-12 * scale * scale)
+    if not visible.any(axis=1).all():
+        raise SolveError("line is invisible in every chart")
+    coef = np.linalg.solve(np.where(visible[..., None, None], free, np.eye(2)), dep)
+    params = coef[..., [0, 1, 0, 1], [0, 0, 1, 1]]  # (a, b, c, d)
+    charts = np.where(visible, np.abs(params).max(axis=-1), np.inf).argmin(axis=1)
+    return SheetState(charts=charts, params=params[np.arange(len(bases)), charts])
 
 
 def _chart_gather(charts: np.ndarray, blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -318,17 +324,23 @@ def _block_offsets(shape: tuple[int, ...], block: int) -> np.ndarray:
     return offsets
 
 
+def sheet_bases(state: SheetState) -> np.ndarray:
+    """Spanning rows of every sheet's line, shape (..., n, 2, 4): the rows
+    of :func:`basis_from_chart`."""
+    params = state.params
+    rows = np.zeros(params.shape[:-1] + (2, 4), dtype=complex)  # (1, 0, a, c), (0, 1, b, d)
+    rows[..., 0, 0] = rows[..., 1, 1] = 1
+    rows[..., 2:] = params.reshape(params.shape[:-1] + (2, 2)).swapaxes(-1, -2)
+    return _chart_gather(state.charts, rows, _BASIS_GATHER)
+
+
 def sheet_pluckers(state: SheetState) -> np.ndarray:
     """Unit Plucker vectors of all sheets at once, shape (..., n, 6).
 
     Unlike :func:`plucker_from_basis` the phase is left free: chordal
     distances and the Hungarian matching do not depend on it.
     """
-    params = state.params
-    rows = np.zeros(params.shape[:-1] + (2, 4), dtype=complex)  # (1, 0, a, c), (0, 1, b, d)
-    rows[..., 0, 0] = rows[..., 1, 1] = 1
-    rows[..., 2:] = params.reshape(params.shape[:-1] + (2, 2)).swapaxes(-1, -2)
-    basis = _chart_gather(state.charts, rows, _BASIS_GATHER)
+    basis = sheet_bases(state)
     v1, v2 = basis[..., 0, :], basis[..., 1, :]
     p = v1[..., _PLUCKER_I] * v2[..., _PLUCKER_J] - v1[..., _PLUCKER_J] * v2[..., _PLUCKER_I]
     return p / np.linalg.norm(p, axis=-1, keepdims=True)
@@ -356,11 +368,11 @@ class LineSystem(SegmentSystem):
         mono = SPACE.monomial_values(self._points(state))
         return matvec(mono, self.coeffs(t)) @ _VINV.T
 
-    def res_jac_dt(self, state: SheetState, t):
+    def res_jac_dt(self, state: SheetState, t, reads: str | None = None):
         mono, gmono = SPACE.monomial_tables(self._points(state))  # (..,n,4,20), (..,n,4,10)
         coeffs = self.coeffs(t)
-        r = matvec(mono, coeffs) @ _VINV.T
-        rt = matvec(mono, self.c_diff) @ _VINV.T
+        r = None if reads == "rt" else matvec(mono, coeffs) @ _VINV.T
+        rt = None if reads == "r" else matvec(mono, self.c_diff) @ _VINV.T
         # dF/dx_v at every sample, one matrix by vector product per lane and v
         lanes, n = gmono.shape[:-3], gmono.shape[-3]
         cols = gmono.reshape(lanes + (1, 4 * n, 10)) @ (_GRAD_OPS @ coeffs[..., None, :, None])
@@ -372,14 +384,12 @@ class LineSystem(SegmentSystem):
         return SheetState(charts=state.charts, params=state.params + delta)
 
     def normalize(self, state: SheetState) -> SheetState:
-        heights = np.abs(state.params).max(axis=1)
-        if (heights <= 8.0).all():
+        far = np.abs(state.params).max(axis=1) > 8.0
+        if not far.any():
             return state
-        charts = state.charts.copy()
-        params = state.params.copy()
-        for k in np.nonzero(heights > 8.0)[0]:
-            basis = basis_from_chart(int(charts[k]), params[k])
-            charts[k], params[k] = best_chart(basis)
+        picked = best_charts(sheet_bases(state[far]))
+        charts, params = state.charts.copy(), state.params.copy()
+        charts[far], params[far] = picked.charts, picked.params
         return SheetState(charts=charts, params=params)
 
     def scale(self, state: SheetState, t) -> np.ndarray:
@@ -395,12 +405,8 @@ class LineSystem(SegmentSystem):
 
 
 def lines_from_sheets(state: SheetState) -> list[Line]:
-    out = []
-    for c, p in zip(state.charts, state.params):
-        basis = basis_from_chart(int(c), p)
-        out.append(Line(chart=int(c), params=p.copy(),
-                        plucker=plucker_from_basis(basis)))
-    return out
+    return [Line(chart=int(c), params=p.copy(), plucker=plucker_from_basis(b))
+            for c, p, b in zip(state.charts, state.params, sheet_bases(state))]
 
 
 def sheets_from_lines(lines: list[Line]) -> SheetState:
@@ -412,11 +418,10 @@ def sheets_from_lines(lines: list[Line]) -> SheetState:
 
 def transform_lines(lines: list[Line], matrix: np.ndarray) -> list[Line]:
     """Apply a projective matrix to every line (new basis rows M v)."""
-    out = []
-    for l in lines:
-        basis = l.basis() @ np.asarray(matrix, dtype=complex).T
-        out.append(line_from_basis(basis))
-    return out
+    bases = np.array([l.basis() for l in lines]) @ np.asarray(matrix, dtype=complex).T
+    state = best_charts(bases)
+    return [Line(chart=int(c), params=p, plucker=plucker_from_basis(b))
+            for c, p, b in zip(state.charts, state.params, bases)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +438,7 @@ def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, f
     """
     system = LineSystem(coeffs, coeffs)
     for _ in range(6):
-        r, j, _ = system.res_jac_dt(state, 1.0)
+        r, j, _ = system.res_jac_dt(state, 1.0, reads="r")
         delta = np.linalg.solve(j, r[..., None])[..., 0]
         state = system.update(state, -delta)
         if (np.abs(delta).max(axis=-1) < POLISH_TOL * system.param_scale(state)).all():
@@ -537,15 +542,11 @@ def _solve_in_frame(form: CubicForm, gamma: complex, frame: np.ndarray):
     frame_inv = np.linalg.inv(frame)
     c_start = gamma * SPACE.compose_matrix(fermat_cubic().coefficients, frame)
     c_target = SPACE.compose_matrix(form.coefficients, frame)
-    start_lines = [line_from_basis(l.basis() @ frame_inv.T)
-                   for l in fermat_start_lines()]
-    state = sheets_from_lines(start_lines)
+    state = best_charts(_fermat_start_bases() @ frame_inv.T)
     system = LineSystem(c_start, c_target)
     state, telemetry = track_segment(system, state, TrackOptions())
     # map back to the original coordinates and polish on the true form
-    back = [line_from_basis(basis_from_chart(int(c), p) @ frame.T)
-            for c, p in zip(state.charts, state.params)]
-    state = sheets_from_lines(back)
+    state = best_charts(sheet_bases(state) @ frame.T)
     state, rel = _polish_sheets(form.coefficients, state)
     if rel >= POLISH_TOL * 10:
         raise SolveError(f"polish residual {rel:.3g} above tolerance")

@@ -3,15 +3,17 @@
 A campaign solves a family member once, then tracks loops - petals at
 known punctures, twisted loops when the family has a residual parameter
 symmetry, and random polygon/lasso loops - until the generated group
-order is stable for ten consecutive loops or the budget runs out.  Up to
-``numeric.LANES`` loops are tracked at once, as lanes of one batch of
+order is stable for ten consecutive loops or the budget runs out.  Loops
+of at most ``numeric.LANE_SHEETS`` sheets in all (4 line loops, or up to
+10 flex loops) are tracked at once, as lanes of one batch of
 chart-system evaluations; their results are used in stream order, and a
 loop starts only once no stop can come before it, so the groups, the
-failures and the stop are those of tracking the loops one by one.  The
-tracked group is the coarse-monodromy surrogate; joined with the deck
-group (the symmetry action on the lines) it surrogates the stack
-monodromy.  Claims pair campaign outputs with oracle groups and
-subgroup-equality targets inside W(E6).
+failures and the stop are those of tracking the loops one by one.  The tracked group,
+built on the stabilizer chain that the stop rule completed, is the
+coarse-monodromy surrogate; joined with the deck group (the symmetry
+action on the lines) it surrogates the stack monodromy.  Claims pair
+campaign outputs with oracle groups and subgroup-equality targets inside
+W(E6).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import flexes as fx
 from . import linesolver as ls
 from . import perms, schlafli, tracker
 from .forms import FamilySpec, get_family
-from .numeric import LANES, step_paths
+from .numeric import LANE_SHEETS, step_paths
 from .perms import PermGroup, Permutation
 from .surfaces import symmetry_permutation
 
@@ -103,17 +105,22 @@ class MonodromyReport:
 
 
 def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
-    """Track loops from the stream until plateau or budget, ``LANES`` at once.
+    """Track loops from the stream until plateau or budget, several at once.
 
     ``loop_stream`` yields (description, thunk) pairs; a thunk returns a
     ``tracker.LoopRun`` or raises.  Loop i (counted from 1) starts only
     when no stop can come before it: i <= budget and i <= max(c + PLATEAU
     - s, mandatory + 1), where c is the last loop committed in stream
-    order and s its stable count.  Results commit in stream order, so the
+    order and s its stable count.  At most ``LANE_SHEETS // degree`` loops
+    (at least one) are in flight: 4 line loops; for flex loops the start
+    rule binds first, at PLATEAU - s once no mandatory loop is left (a
+    flex campaign has none).  Results commit in stream order, so the
     chain, the failures and the stop are those of one loop at a time, and
     no loop past the stop is tracked.  Returns (tracked list, failures,
-    plateau_reached).
+    plateau_reached, chain), the chain extended by every tracked
+    permutation in order.
     """
+    in_flight = max(1, LANE_SHEETS // degree)
     chain = perms.StabilizerChain(degree)
     tracked: list[tracker.TrackedPermutation] = []
     failures: list[str] = []
@@ -132,9 +139,9 @@ def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
             grew = chain.extend(np.array(out.perm.images))
             stable = 0 if grew else stable + 1
             if committed > mandatory and stable >= PLATEAU:
-                return tracked, failures, True
+                return tracked, failures, True, chain
         reach = min(budget, max(committed + PLATEAU - stable, mandatory + 1))
-        while len(lanes) < LANES and started < reach:
+        while len(lanes) < in_flight and started < reach:
             item = next(loops, None)
             if item is None:  # the stream has ended: no loop past this one
                 budget = started
@@ -150,7 +157,7 @@ def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
         if not lanes:
             if committed + 1 in ended:
                 continue
-            return tracked, failures, False
+            return tracked, failures, False, chain
         step_paths([lane[3] for lane in lanes])
         for index, desc, run, path in lanes:
             if not path.done:
@@ -224,14 +231,14 @@ def run_campaign(c: Campaign) -> MonodromyReport:
             yield (f"{loop.kind}:{seed}", (lambda l=loop, s=seed: track(l, s)))
             k += 1
 
-    tracked, failures, plateau = _accumulate(c.family.degree, stream(), c.loop_budget,
-                                             len(mandatory))
+    tracked, failures, plateau, chain = _accumulate(c.family.degree, stream(),
+                                                    c.loop_budget, len(mandatory))
     if not tracked:
         raise CampaignError(f"no loop tracked successfully: {failures}")
     gens = [tp.perm for tp in tracked]
     if labeling is not None and not all(map(schlafli.is_graph_automorphism, gens)):
         raise CampaignError("a tracked permutation broke the incidence structure")
-    group = perms.generate_group(gens)
+    group = perms.chain_group(chain, gens)
     combined = None
     if deck_group is not None:
         for g in gens:

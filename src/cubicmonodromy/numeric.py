@@ -22,12 +22,16 @@ distance, and each segment starts from that step rescaled to its own
 length.  Only the last segment of a loop ends in a Newton polish.
 
 :func:`step_paths` is the one stepping routine.  It takes one step
-attempt for several paths (a ``Path`` each: a lane) as one batch: each
-Runge-Kutta stage and each Newton iteration is one evaluation of the
-lanes' systems stacked along a leading lane axis.  Every lane keeps its
-own segment, t, step, first stage, Newton acceptance and telemetry, and
-computes bit for bit what it computes alone; :func:`track_segment` is the
-one-lane case.  A campaign steps up to ``LANES`` loops together.
+attempt for several paths (a ``Path`` each: a lane) as one batch: the
+lanes' systems and states are stacked once along a leading lane axis,
+and each Runge-Kutta stage and each Newton iteration is one stacked
+evaluation of only what it reads (J and dR/dt for a stage, R and J for
+an iteration).  A lane leaves the stack when its solve is singular or
+its corrector accepts.  Every lane keeps its own segment, t, step, first
+stage, Newton acceptance and telemetry, and computes bit for bit what it
+computes alone; :func:`track_segment` is the one-lane case.  A campaign
+steps at most ``LANE_SHEETS`` sheets together: 4 line loops, or up to
+10 flex loops, the most that its stop rule lets start at once.
 """
 
 from __future__ import annotations
@@ -215,8 +219,11 @@ MAX_NEWTON = 4
 H_INIT = 0.05
 GROW = 1.7
 SHRINK = 0.4
-# paths a campaign steps together: 4 measured best for 27-sheet lanes
-LANES = 4
+# sheets a campaign steps together at most: 4 line loops (27 sheets each);
+# 12 flex loops (9 each) would fit, but a campaign's stop rule starts at
+# most 10 (monodromy.PLATEAU) past its last committed loop.  A stacked call
+# costs mostly per call, not per lane.
+LANE_SHEETS = 108
 
 
 @dataclass(frozen=True)
@@ -267,10 +274,11 @@ class SegmentSystem:
     hooks; this is the interface that :func:`step_paths` consumes.
 
     ``stack`` joins one-lane systems into one with a leading lane axis on
-    every field named in ``LANE_FIELDS``.  Its state (``stack_states``), its
-    t and every per-sheet result carry the same axis, and lane l computes
-    bit for bit what the l-th system computes alone.  ``length`` and
-    ``normalize`` are one-lane calls.
+    every field named in ``LANE_FIELDS``, and ``take`` keeps some of its
+    lanes.  Its state (``stack_states``; indexing a stacked state keeps
+    lanes too), its t and every per-sheet result carry the same axis, and
+    lane l computes bit for bit what the l-th system computes alone.
+    ``length`` and ``normalize`` are one-lane calls.
     """
 
     LANE_FIELDS = ("c_from", "c_to", "c_diff")
@@ -285,6 +293,13 @@ class SegmentSystem:
         out = cls.__new__(cls)
         for name in cls.LANE_FIELDS:
             setattr(out, name, np.array([getattr(s, name) for s in systems]))
+        return out
+
+    def take(self, lanes: np.ndarray) -> "SegmentSystem":
+        """The stacked system of the lanes that ``lanes`` (a mask or indices) selects."""
+        out = type(self).__new__(type(self))
+        for name in self.LANE_FIELDS:
+            setattr(out, name, getattr(self, name)[lanes])
         return out
 
     @staticmethod
@@ -302,8 +317,13 @@ class SegmentSystem:
     def residual(self, state, t) -> np.ndarray:
         raise NotImplementedError
 
-    def res_jac_dt(self, state, t):
-        """Return (R, J, Rt) with shapes (..., n,k), (..., n,k,k), (..., n,k)."""
+    def res_jac_dt(self, state, t, reads: str | None = None):
+        """Return (R, J, Rt) with shapes (..., n,k), (..., n,k,k), (..., n,k).
+
+        ``reads`` names what the caller reads besides J, and only that is
+        computed; the other slot is None: ``"r"`` for a Newton iteration
+        (Rt is None), ``"rt"`` for a Davidenko stage (R is None).
+        """
         raise NotImplementedError
 
     def update(self, state, delta) -> object:
@@ -372,67 +392,71 @@ class Path:
         self.done = True
 
 
-def _stacked(paths: list[Path], states: list, stacks: dict):
-    """The stacked system of these paths' segments (kept in ``stacks``) and state."""
-    key = tuple(p.system for p in paths)
-    system = stacks.get(key)
-    if system is None:
-        system = stacks[key] = type(key[0]).stack(key)
-    return system, system.stack_states(states)
+def _stack(paths: list[Path]):
+    """The stacked system of these paths' current segments, and their stacked state."""
+    systems = [p.system for p in paths]
+    system = type(systems[0]).stack(systems)
+    return system, system.stack_states([p.state for p in paths])
 
 
-def _solve(j: np.ndarray, r: np.ndarray) -> list:
-    """``solve(j, r)`` lane by lane; None for a lane with a singular matrix."""
+def _take(keep: np.ndarray, system: SegmentSystem, *lanes):
+    """The lanes that the mask ``keep`` selects of a stacked system and of
+    states or arrays with a leading lane axis."""
+    if keep.all():
+        return (system,) + lanes
+    return (system.take(keep),) + tuple(x[keep] for x in lanes)
+
+
+def _solve(j: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``solve(j, r)`` lane by lane, and the mask of the lanes whose matrices
+    are not singular (their rows are zero in the solution)."""
+    ok = np.ones(len(j), dtype=bool)
     try:
-        return list(np.linalg.solve(j, r[..., None])[..., 0])
+        return np.linalg.solve(j, r[..., None])[..., 0], ok
     except np.linalg.LinAlgError:
-        out = []
-        for jl, rl in zip(j, r):
+        out = np.zeros_like(r)
+        for lane, (jl, rl) in enumerate(zip(j, r)):
             try:
-                out.append(np.linalg.solve(jl, rl[..., None])[..., 0])
+                out[lane] = np.linalg.solve(jl, rl[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                out.append(None)
-        return out
+                ok[lane] = False
+        return out, ok
 
 
-def _davidenko(paths: list[Path], states: list, ts: list[float], stacks: dict) -> list:
-    system, state = _stacked(paths, states, stacks)
-    _, j, rt = system.res_jac_dt(state, np.array(ts))
-    return [None if x is None else -x for x in _solve(j, rt)]
+def _davidenko(system: SegmentSystem, state, t: np.ndarray):
+    """The Davidenko direction -J^{-1} dR/dt of every lane, and the mask of
+    the lanes whose Jacobians are not singular."""
+    _, j, rt = system.res_jac_dt(state, t, reads="rt")
+    x, ok = _solve(j, rt)
+    return -x, ok
 
 
-def _newton(paths: list[Path], states: list, ts: list[float], stacks: dict) -> list:
-    """Newton-correct each lane at its fixed t; its corrected state or None."""
+def _newton(paths: list[Path], system: SegmentSystem, state, t: np.ndarray) -> list:
+    """Newton-correct each lane of the stacked state at its fixed t; per
+    lane its corrected state, or None.  A lane leaves the stack once its
+    solve is singular or its corrector accepts."""
     out = [None] * len(paths)
-    states = list(states)
-    live = list(range(len(paths)))
+    lanes = np.arange(len(paths))
     for _ in range(MAX_NEWTON):
-        if not live:
+        if not len(lanes):
             break
-        system, state = _stacked([paths[i] for i in live], [states[i] for i in live], stacks)
-        r, j, _ = system.res_jac_dt(state, np.array([ts[i] for i in live]))
-        small, failed = [], set()
-        for i, delta in zip(live, _solve(j, r)):
-            if delta is None:
-                failed.add(i)
-                continue
-            sys_i = paths[i].system
-            states[i] = sys_i.update(states[i], -delta)
-            step = np.abs(delta).max(axis=-1)
-            if (step < CORRECTOR_TOL * sys_i.param_scale(states[i])).all():
-                small.append(i)
-        if small:
-            system, state = _stacked([paths[i] for i in small], [states[i] for i in small],
-                                     stacks)
-            t = np.array([ts[i] for i in small])
-            res = np.abs(system.residual(state, t)).max(axis=-1)
-            for i, rel in zip(small, res / system.scale(state, t)):
-                telemetry = paths[i].telemetry
+        r, j, _ = system.res_jac_dt(state, t, reads="r")
+        delta, stay = _solve(j, r)
+        state = system.update(state, -delta)
+        small = stay & (np.abs(delta).max(axis=-1)
+                        < CORRECTOR_TOL * system.param_scale(state)).all(axis=-1)
+        if small.any():
+            checked, at, at_t = _take(small, system, state, t)
+            res = np.abs(checked.residual(at, at_t)).max(axis=-1)
+            for i, rel in zip(np.flatnonzero(small), res / checked.scale(at, at_t)):
+                telemetry = paths[lanes[i]].telemetry
                 telemetry.max_corrector_residual = max(
                     telemetry.max_corrector_residual, float(rel.max()))
                 if (rel < 10 * CORRECTOR_TOL).all():
-                    out[i] = states[i]
-        live = [i for i in live if i not in failed and out[i] is None]
+                    out[lanes[i]] = state[i]
+                    stay[i] = False
+        lanes = lanes[stay]
+        system, state, t = _take(stay, system, state, t)
     return out
 
 
@@ -442,13 +466,15 @@ def step_paths(paths: list[Path]) -> None:
     A path first moves past its ended segments (a zero-length segment
     takes no step); one whose last segment has ended takes its final
     Newton polish and is done.  Every other path attempts one step of
-    ``min(proposal, 1 - t)`` from its own (state, t): the RK4 stages and
-    the Newton iterations are each one stacked evaluation over the lanes
-    still in the attempt.  The paths must follow one cover (one system
-    class and one number of sheets).  A singular Jacobian, a step
-    underflow or a sheet collision rejects or fails only its own lane.
+    ``min(proposal, 1 - t)`` from its own (state, t).  The stepping lanes'
+    states are stacked once: each RK4 stage state and the predictor are
+    one stacked update, each RK4 stage and each Newton iteration one
+    stacked evaluation of what it reads.  A lane leaves the stack only
+    when its solve is singular or its corrector accepts.  The paths must
+    follow one cover (one system class and one number of sheets).  A
+    singular Jacobian, a step underflow, a ``normalize`` error or a sheet
+    collision rejects or fails only its own lane.
     """
-    stacks: dict = {}
     stepping, polishing = [], []
     for p in paths:
         while not p.done and p.t >= 1.0:
@@ -462,43 +488,47 @@ def step_paths(paths: list[Path]) -> None:
         if not p.done and p.t < 1.0:
             stepping.append(p)
     if polishing:
-        _polish(polishing, stacks)
+        _polish(polishing)
     if not stepping:
         return
-    hs = [min(p.proposal, 1.0 - p.t) for p in stepping]
-    fresh = [p for p in stepping if p.k1 is None]
-    if fresh:
-        for p, k in zip(fresh, _davidenko(fresh, [p.state for p in fresh],
-                                          [p.t for p in fresh], stacks)):
-            p.k1 = k
-    live = [i for i, p in enumerate(stepping) if p.k1 is not None]
-    stages = {i: [stepping[i].k1] for i in live}
+    system, state = _stack(stepping)
+    t = np.array([p.t for p in stepping])
+    h = np.minimum([p.proposal for p in stepping], 1.0 - t)
+    fresh = np.array([p.k1 is None for p in stepping])
+    if fresh.any():
+        k1, ok = _davidenko(*_take(fresh, system, state, t))
+        for i, k, good in zip(np.flatnonzero(fresh), k1, ok):
+            stepping[i].k1 = k if good else None
+    live = np.array([p.k1 is not None for p in stepping])
+    lanes = np.flatnonzero(live)
+    lane_system, lane_state, lane_t, lane_h = _take(live, system, state, t, h)
+    stages = [np.array([stepping[i].k1 for i in lanes])]
+    ends = {}
+    # each lane's step broadcasts over its (sheets, unknowns) block
     for frac in (0.5, 0.5, 1.0):  # k2, k3 and k4 from the stage before
-        if not live:
+        if not len(lanes):
             break
-        lanes = [stepping[i] for i in live]
-        states = [p.system.update(p.state, frac * hs[i] * stages[i][-1])
-                  for i, p in zip(live, lanes)]
-        ks = _davidenko(lanes, states, [p.t + frac * hs[i] for i, p in zip(live, lanes)],
-                        stacks)
-        kept = [(i, k) for i, k in zip(live, ks) if k is not None]
-        for i, k in kept:
-            stages[i].append(k)
-        live = [i for i, _ in kept]
-    lanes = [stepping[i] for i in live]
-    preds = []
-    for i, p in zip(live, lanes):
-        k1, k2, k3, k4 = stages[i]
-        preds.append(p.system.update(p.state, (hs[i] / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
-    ends = dict(zip(live, _newton(lanes, preds, [p.t + hs[i] for i, p in zip(live, lanes)],
-                                  stacks)))
+        stage = lane_system.update(lane_state, (frac * lane_h)[:, None, None] * stages[-1])
+        k, ok = _davidenko(lane_system, stage, lane_t + frac * lane_h)
+        stages.append(k)
+        if not ok.all():
+            stages = [x[ok] for x in stages]
+            lanes = lanes[ok]
+            lane_system, lane_state, lane_t, lane_h = _take(ok, lane_system, lane_state,
+                                                            lane_t, lane_h)
+    else:  # the lanes left have all four stages: predict, then correct
+        k1, k2, k3, k4 = stages
+        pred = lane_system.update(lane_state,
+                                  (lane_h / 6.0)[:, None, None] * (k1 + 2 * k2 + 2 * k3 + k4))
+        ends = dict(zip(lanes.tolist(), _newton([stepping[i] for i in lanes], lane_system,
+                                                pred, lane_t + lane_h)))
+    hs = h.tolist()
     accepted = []
     for i, p in enumerate(stepping):
-        h = hs[i]
         end = ends.get(i)
         if end is None:
             p.telemetry.rejected += 1
-            p.proposal = h * SHRINK
+            p.proposal = hs[i] * SHRINK
             if p.proposal < p.opts.h_min:
                 p._fail(PathTrackingError(f"step size underflow at t={p.t:.6g}"))
             continue
@@ -508,31 +538,33 @@ def step_paths(paths: list[Path]) -> None:
             p._fail(exc)
             continue
         p.k1 = None
-        p.t += h
+        p.t += hs[i]
         p.telemetry.steps += 1
-        accepted.append((p, h))
-    checked = [p for p, _ in accepted if p.opts.collision_tol is not None]
+        accepted.append(i)
+    checked = [i for i in accepted if stepping[i].opts.collision_tol is not None]
     if checked:
-        system, state = _stacked(checked, [p.state for p in checked], stacks)
-        gaps = np.broadcast_to(system.collision_gap(state), (len(checked),))
-        for p, gap in zip(checked, gaps):
+        lanes = [stepping[i] for i in checked]
+        gaps = system.take(np.array(checked)).collision_gap(
+            system.stack_states([p.state for p in lanes]))
+        for p, gap in zip(lanes, np.broadcast_to(gaps, (len(lanes),))):
             gap = float(gap)
             p.telemetry.min_path_separation = min(p.telemetry.min_path_separation, gap)
             if gap < p.opts.collision_tol:
                 p._fail(SheetCollisionError(f"sheet separation {gap:.3g} at t={p.t:.6g}"))
-    for p, h in accepted:
+    for i in accepted:
+        p = stepping[i]
         if p.done:
             continue
-        p.proposal = min(max(p.proposal, h * GROW), p.opts.h_max)
+        p.proposal = min(max(p.proposal, hs[i] * GROW), p.opts.h_max)
         if p.t >= 1.0 and p.length > 0:
             p.telemetry.step = p.proposal * p.length
 
 
-def _polish(paths: list[Path], stacks: dict) -> None:
+def _polish(paths: list[Path]) -> None:
     """The final Newton polish at t=1 and the conditioning at the end point."""
+    system, state = _stack(paths)
     good = []
-    for p, end in zip(paths, _newton(paths, [p.state for p in paths], [1.0] * len(paths),
-                                     stacks)):
+    for p, end in zip(paths, _newton(paths, system, state, np.ones(len(paths)))):
         if end is None:
             p._fail(PathTrackingError("final Newton polish failed at t=1"))
         else:
@@ -540,8 +572,8 @@ def _polish(paths: list[Path], stacks: dict) -> None:
             p.done = True
             good.append(p)
     if good:
-        system, state = _stacked(good, [p.state for p in good], stacks)
-        _, j, _ = system.res_jac_dt(state, np.ones(len(good)))
+        system, state = _stack(good)
+        _, j, _ = system.res_jac_dt(state, np.ones(len(good)), reads="r")
         for p, conds in zip(good, np.linalg.cond(j)):
             p.telemetry.max_condition = max(p.telemetry.max_condition, float(np.max(conds)))
 

@@ -468,13 +468,22 @@ def generate_group(generators: Sequence[Permutation],
     for g in gens:
         if g.degree != degree:
             raise GroupError(f"degree mismatch: {g.degree} vs {degree}")
-    arrays = _moving_generators(gens)
     chain = StabilizerChain(degree)
-    for a in arrays:
+    for a in _moving_generators(gens):
         chain.extend(a)
+    return chain_group(chain, gens)
+
+
+def chain_group(chain: StabilizerChain, generators: Sequence[Permutation]) -> PermGroup:
+    """The group of ``generators`` from a complete chain of them (one that
+    every generator, in order, has extended), as :func:`generate_group`
+    builds it: the identity and repeats extend no chain, so a chain
+    extended by all of them is the one it builds."""
     if chain.order() > MATERIALIZE_CAP:
         raise GroupError(f"group has more than {MATERIALIZE_CAP} elements")
-    return PermGroup(degree, gens, *_Closure(_Base.of_chain(chain), degree, arrays).table())
+    base = _Base.of_chain(chain)
+    closure = _Closure(base, chain.degree, _moving_generators(generators))
+    return PermGroup(chain.degree, list(generators), *closure.table())
 
 
 def _moving_generators(gens: Sequence[Permutation]) -> list[np.ndarray]:

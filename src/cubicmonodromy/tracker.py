@@ -186,8 +186,8 @@ def _finish(base: ls.SolveReport, labeling: SchlafliLabeling | None, loop,
             identification: np.ndarray | None, state, telemetry) -> TrackedPermutation:
     """Polish the endpoint fiber, match against the base fiber, package."""
     if identification is not None:
-        state = ls.sheets_from_lines(
-            ls.transform_lines(ls.lines_from_sheets(state), identification))
+        moved = ls.sheet_bases(state) @ np.asarray(identification, dtype=complex).T
+        state = ls.best_charts(moved)
     base_coeffs = loop.family.raw_coeffs(loop.waypoints[0])
     state, _ = ls._polish_sheets(base_coeffs / np.abs(base_coeffs).max(), state)
     end_pl = ls.sheet_pluckers(state)

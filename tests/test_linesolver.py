@@ -37,11 +37,55 @@ def test_fermat_incidence_is_srg():
 def test_chart_roundtrip():
     rng = np.random.default_rng(2)
     basis = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    chart, params = L.best_chart(basis)
-    rebuilt = L.basis_from_chart(chart, params)
+    state = L.best_charts(basis[None])
+    rebuilt = L.basis_from_chart(int(state.charts[0]), state.params[0])
     # the two bases span the same line: Plucker vectors agree up to phase
     p1, p2 = L.plucker_from_basis(basis), L.plucker_from_basis(rebuilt)
     assert abs(abs(np.vdot(p1, p2)) - 1) < 1e-12
+
+
+def _best_chart_oracle(basis):
+    """One line's best chart by a scan of the six charts, one 2x2 solve each."""
+    best = None
+    for chart in range(6):
+        free, dep = L.CHART_FREE[chart], L.CHART_DEP[chart]
+        mf = basis[:, free]
+        det = mf[0, 0] * mf[1, 1] - mf[0, 1] * mf[1, 0]
+        scale = np.abs(mf).max()
+        if scale == 0 or abs(det) < 1e-12 * scale * scale:
+            continue
+        c = np.linalg.solve(mf, basis[:, dep])
+        params = np.array([c[0, 0], c[1, 0], c[0, 1], c[1, 1]])
+        height = np.abs(params).max()
+        if best is None or height < best[0]:
+            best = (height, chart, params)
+    if best is None:
+        raise L.SolveError("line is invisible in every chart")
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_charts_match_the_scalar_scan(seed):
+    rng = np.random.default_rng(seed)
+    bases = rng.normal(size=(300, 2, 4)) + 1j * rng.normal(size=(300, 2, 4))
+    # one coordinate scaled down: some charts are nearly or just invisible
+    rows = np.arange(100, 300)
+    bases[rows, :, rng.integers(0, 4, size=200)] *= 1e-7
+    bases[250:, :, 1] = 0  # no chart with column 1 free shows these lines
+    state = L.best_charts(bases)
+    for basis, chart, params in zip(bases, state.charts, state.params):
+        want_chart, want_params = _best_chart_oracle(basis)
+        assert chart == want_chart
+        assert params.tobytes() == want_params.tobytes()
+
+
+def test_a_line_no_chart_shows_raises():
+    bases = np.zeros((2, 2, 4), dtype=complex)
+    bases[0] = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    bases[1, 0, 0] = 1  # rank one: no 2x2 block is invertible
+    assert L.best_charts(bases[:1]).charts.tolist() == [0]
+    with pytest.raises(L.SolveError):
+        L.best_charts(bases)
 
 
 def test_lines_meet_self_pairing_zero():
@@ -222,7 +266,8 @@ def test_rejected_steps_reuse_their_first_stage(monkeypatch):
     calls = []
     res_jac_dt = L.LineSystem.res_jac_dt
     monkeypatch.setattr(L.LineSystem, "res_jac_dt",
-                        lambda self, state, t: calls.append(t) or res_jac_dt(self, state, t))
+                        lambda self, state, t, **kw: calls.append(t)
+                        or res_jac_dt(self, state, t, **kw))
     tel = L.solve_lines(F.random_cubic(np.random.default_rng(0)), seed=0).telemetry
     assert (tel.steps, tel.rejected) == (27, 14)
     # and the final polish evaluates its last residual without a Jacobian

@@ -233,5 +233,18 @@ def test_accumulate_starts_no_loop_past_its_stop(outcomes, budget, mandatory):
     tracked, failures, plateau, reached = _one_at_a_time(_Stream(4, outcomes), budget,
                                                          mandatory)
     assert [tp.perm for tp in got[0]] == [tp.perm for tp in tracked]
-    assert got[1:] == (failures, plateau)
+    assert got[1:3] == (failures, plateau)
     assert stream.calls == reached
+    assert got[3].order() == P.bsgs_order([tp.perm for tp in tracked], degree=4)
+
+
+@pytest.mark.parametrize("degree, in_flight", [(27, 4), (9, M.PLATEAU)])
+def test_accumulate_keeps_a_batch_of_sheets_in_flight(monkeypatch, degree, in_flight):
+    # no mandatory loops, as in a flex campaign: 108 sheets would hold 12
+    # flex loops, but the stop rule lets at most PLATEAU of them start
+    widths = []
+    step_paths = M.step_paths
+    monkeypatch.setattr(M, "step_paths", lambda paths: widths.append(len(paths))
+                        or step_paths(paths))
+    M._accumulate(degree, _Stream(degree, []), budget=40, mandatory=0)
+    assert max(widths) == in_flight

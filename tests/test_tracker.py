@@ -329,7 +329,7 @@ def _flex_runs(flex_base, seeds):
 
 
 def test_flex_loops_in_one_batch_match_each_loop_alone(flex_base):
-    seeds = [31, 32, 33, 34]
+    seeds = list(range(31, 43))  # 12 flex loops: the 108 sheets of a batch
     runs = _flex_runs(flex_base, seeds)
     together = _track_together(runs)
     for tp, s in zip(together, seeds):
@@ -357,8 +357,53 @@ def test_a_failing_lane_fails_alone(flex_base):
     assert [_outcome(x) for x in _track_together(runs)] == alone
     # and through a campaign's accumulator, with its failure strings
     stream = [(f"loop{k}", (lambda r=run: r)) for k, run in enumerate(runs)]
-    tracked, failures, plateau = M._accumulate(9, iter(stream), budget=len(runs),
-                                               mandatory=0)
+    tracked, failures, plateau, chain = M._accumulate(9, iter(stream), budget=len(runs),
+                                                      mandatory=0)
     assert [json.dumps(tp.to_json()) for tp in tracked] == [alone[0], alone[2], alone[4]]
     assert failures == [f"loop1: {alone[1]}", f"loop3: {alone[3]}"]
     assert not plateau
+    assert chain.order() == P.generate_group([tp.perm for tp in tracked]).order
+
+
+class _Flaky(FX.FlexSystem):
+    """A flex system whose flagged lane gets a zero Jacobian once: at the
+    ``trigger[1]``-th evaluation that reads ``trigger[0]`` and holds it."""
+
+    LANE_FIELDS = FX.FlexSystem.LANE_FIELDS + ("flaky",)
+    trigger = ("rt", 0)
+    seen = 0
+
+    def __init__(self, system, flaky):
+        super().__init__(system.c_from, system.c_to)
+        self.flaky = np.asarray(flaky)
+
+    def res_jac_dt(self, state, t, reads=None):
+        out = super().res_jac_dt(state, t, reads)
+        if reads == self.trigger[0] and self.flaky.any():
+            _Flaky.seen += 1
+            if _Flaky.seen == self.trigger[1]:
+                out[1][self.flaky] = 0
+        return out
+
+
+@pytest.mark.parametrize("trigger", [("rt", 2), ("rt", 7), ("r", 2), ("r", 9)],
+                         ids=["stage-k2", "stage-late", "newton-second", "newton-late"])
+def test_a_lane_turning_singular_late_fails_alone(monkeypatch, flex_base, trigger):
+    # the flagged lane leaves the stack in the middle of an attempt, at a
+    # later Runge-Kutta stage or in a Newton iteration; the others go on
+    runs = [T.LoopRun([_Flaky(s, k == 2) for s in run.systems], run.state, run.finish)
+            for k, run in enumerate(_flex_runs(flex_base, [51, 52, 53, 54, 55]))]
+    monkeypatch.setattr(_Flaky, "trigger", trigger)
+    monkeypatch.setattr(_Flaky, "seen", 0)
+    alone = [_outcome(_alone(run)) for run in runs]
+    _Flaky.seen = 0
+    paths = [run.path() for run in runs]
+    while _Flaky.seen < trigger[1]:
+        assert not all(p.done for p in paths)
+        rejected = paths[2].telemetry.rejected
+        N.step_paths([p for p in paths if not p.done])
+    assert paths[2].telemetry.rejected == rejected + 1  # that attempt, and only it
+    while not all(p.done for p in paths):
+        N.step_paths([p for p in paths if not p.done])
+    together = [_outcome(run.finish(p.state, p.telemetry)) for run, p in zip(runs, paths)]
+    assert together == alone
