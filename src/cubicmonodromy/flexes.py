@@ -163,7 +163,10 @@ class FlexSystem(SegmentSystem):
         return (1 - t) * self.a_from + t * self.a_to
 
     def points(self, state: np.ndarray) -> np.ndarray:
-        return np.concatenate([state, np.ones(state.shape[:-1] + (1,))], axis=-1)
+        p = np.empty(state.shape[:-1] + (3,), dtype=complex)
+        p[..., :2] = state
+        p[..., 2] = 1
+        return p
 
     def residual(self, state: np.ndarray, t) -> np.ndarray:
         p = self.points(state)
@@ -180,20 +183,24 @@ class FlexSystem(SegmentSystem):
         adj = _adjugate3(m)
         r = rt = None
         if reads != "rt":
-            r = np.stack([matvec(mono, coeffs), np.linalg.det(m)], axis=-1)
+            r = np.empty(state.shape, dtype=complex)
+            r[..., 0] = matvec(mono, coeffs)
+            r[..., 1] = np.linalg.det(m)
         j = np.empty(state.shape + (2,), dtype=complex)
         _, grad_ops = SPACE3.gradient_ops()
+        # tr(adj a_k) per sheet, against a contiguous copy of a_k per sheet:
+        # bit for bit the one-lane einsum "nij,ji->n", which a view is not
+        a_k = np.empty((2,) + adj.shape, dtype=complex)
         for k in range(2):
             j[..., 0, k] = matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
-            # tr(adj a_k) per sheet, against a contiguous copy of a_k per sheet:
-            # bit for bit the one-lane einsum "nij,ji->n", which a view is not
-            a_k = np.ascontiguousarray(np.broadcast_to(a[..., None, :, :, k], adj.shape))
-            j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k)
+            a_k[k] = a[..., None, :, :, k]
+            j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k[k])
         if reads != "r":
             # t-derivative: coefficient difference for F, tensor difference for H
             mdot = np.einsum("...ijk,...nk->...nij", self.a_diff, p)
-            ht = np.einsum("...nij,...nji->...n", adj, mdot)
-            rt = np.stack([matvec(mono, self.c_diff), ht], axis=-1)
+            rt = np.empty(state.shape, dtype=complex)
+            rt[..., 0] = matvec(mono, self.c_diff)
+            rt[..., 1] = np.einsum("...nij,...nji->...n", adj, mdot)
         return r, j, rt
 
     def update(self, state: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ _SAMPLES = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=complex)
 _VANDER = np.array([[s ** (3 - m) * t ** m for m in range(4)] for s, t in _SAMPLES])
 _VINV = np.linalg.inv(_VANDER)
 
-_S, _T = _SAMPLES.T.copy()
+_ST = _SAMPLES.T.copy()
+_S, _T = _ST
 
 # Per-chart gather tables, as flat offsets into a sheet's block of values.
 # Coordinate v of a chart takes slot _POINT_COLS[chart, v] of (free0,
@@ -53,6 +54,8 @@ _JAC_GATHER = 4 * np.arange(4)[:, None] + CHART_DEP[:, None, [0, 0, 1, 1]]  # [c
 _JAC_ST = _SAMPLES[:, [0, 1, 0, 1]]
 # coefficients to the coefficients of dF/dx_v, one (10, 20) matrix per v
 _GRAD_OPS = np.array(SPACE.gradient_ops()[1])
+# per number of lane axes: the (v, sheet, sample) to (sheet, sample, v) view
+_GRAD_AXES = [tuple(range(k)) + (k + 1, k + 2, k) for k in range(3)]
 
 # Plucker coordinate order: (01, 02, 03, 12, 13, 23)
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -359,9 +362,10 @@ class LineSystem(SegmentSystem):
         params = np.asarray(state.params, dtype=complex)
         pairs = params.reshape(params.shape[:-1] + (2, 2))  # rows (a, b) and (c, d)
         rows = np.empty(params.shape[:-1] + (4, 4), dtype=complex)
-        rows[..., 0, :] = _S
-        rows[..., 1, :] = _T
-        np.add(pairs[..., :1] * _S, pairs[..., 1:] * _T, out=rows[..., 2:, :])
+        rows[..., :2, :] = _ST
+        dep = rows[..., 2:, :]
+        np.multiply(pairs[..., :1], _S, out=dep)
+        np.add(dep, pairs[..., 1:] * _T, out=dep)
         return _chart_gather(state.charts, rows, _POINT_GATHER)
 
     def residual(self, state: SheetState, t) -> np.ndarray:
@@ -376,7 +380,7 @@ class LineSystem(SegmentSystem):
         # dF/dx_v at every sample, one matrix by vector product per lane and v
         lanes, n = gmono.shape[:-3], gmono.shape[-3]
         cols = gmono.reshape(lanes + (1, 4 * n, 10)) @ (_GRAD_OPS @ coeffs[..., None, :, None])
-        grads = np.moveaxis(cols.reshape(lanes + (4, n, 4)), -3, -1)  # (..., n, 4, 4)
+        grads = cols.reshape(lanes + (4, n, 4)).transpose(_GRAD_AXES[len(lanes)])  # (..., n, 4, 4)
         j = _VINV @ (_chart_gather(state.charts, grads, _JAC_GATHER) * _JAC_ST)
         return r, j, rt
 
@@ -449,16 +453,18 @@ def _polish_sheets(coeffs: np.ndarray, state: SheetState) -> tuple[SheetState, f
 
 
 def certify_lines(form: CubicForm, lines: list[Line], rng: np.random.Generator) -> float:
-    """Max scale-normalized |F| over five random points of every line."""
-    worst = 0.0
-    cnorm = np.abs(form.coefficients).max()
-    for line in lines:
-        st = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        pts = st @ line.basis()
-        vals = np.abs(form.evaluate(pts))
-        scales = cnorm * np.linalg.norm(pts, axis=1) ** 3
-        worst = max(worst, float((vals / scales).max()))
-    return worst
+    """Max scale-normalized |F| over five random points of every line.
+
+    Line by line, the five (s, t) draw their real parts and then their
+    imaginary parts from ``rng``; one draw takes them all in that order.
+    A line whose ratios are NaN does not raise the maximum.
+    """
+    draws = rng.normal(size=(len(lines), 2, 5, 2))
+    st = draws[:, 0] + 1j * draws[:, 1]
+    pts = st @ np.array([line.basis() for line in lines])  # (lines, 5, 4)
+    vals = np.abs(form.evaluate(pts))
+    scales = np.abs(form.coefficients).max() * np.linalg.norm(pts, axis=-1) ** 3
+    return max([0.0] + (vals / scales).max(axis=-1).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,7 +61,10 @@ class FormSpace:
 
     A monomial table is the product, variable by variable from ones, of rows
     gathered from one table of coordinate powers; ``monomial_tables`` takes
-    the degree-d and the degree-(d-1) table from one such gather.
+    the degree-d and the degree-(d-1) table from one such gather.  Every
+    value comes from the same elementwise operations in the same order
+    (``_products``), whatever the layout of the points, and
+    ``compose_matrix`` keeps a fixed order of scalar operations.
     """
 
     def __init__(self, nvars: int, degree: int):
@@ -92,15 +95,22 @@ class FormSpace:
         return _table(vals[:self.dim], lead), _table(vals[self.dim:], lead)
 
     def _products(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Products of the gathered power-table rows, shape (rows.shape[1], points)."""
+        """Products of the gathered power-table rows, shape (rows.shape[1], points).
+
+        Power e is power e-1 times the coordinate, from a row of ones; the
+        product starts as ones times the first variable's row (1*x can
+        differ from x in the sign of a zero part) and multiplies in the
+        other variables' rows in variable order.
+        """
         flat = pts.reshape(-1, self.nvars).T
-        pw = np.ones((self.nvars, self.degree + 1, flat.shape[1]), dtype=complex)
+        pw = np.empty((self.nvars, self.degree + 1, flat.shape[1]), dtype=complex)
+        pw[:, 0] = 1
         for k in range(1, self.degree + 1):
-            pw[:, k] = pw[:, k - 1] * flat
+            np.multiply(pw[:, k - 1], flat, out=pw[:, k])
         gathered = pw.reshape(-1, flat.shape[1])[rows]  # (nvars, monomials, points)
-        vals = np.ones(gathered.shape[1:], dtype=complex)
-        for v in range(self.nvars):
-            vals = vals * gathered[v]
+        vals = pw[0, 0] * gathered[0]
+        for v in range(1, self.nvars):
+            np.multiply(vals, gathered[v], out=vals)
         return vals
 
     def evaluate(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -130,31 +140,56 @@ class FormSpace:
         cols = [mono @ (op @ np.asarray(coeffs, dtype=complex)) for op in ops]
         return np.stack(cols, axis=-1)
 
+    @cached_property
+    def _composition(self) -> tuple[list[list[int | None]], list[list[int]]]:
+        """For ``compose_matrix``, with the monomials of degree 0 to d as
+        integer keys (degree by degree, the degree-d ones last and in
+        monomial order): the key of each key's monomial times each
+        variable, and the variables of each degree-d monomial, with
+        repeats, in variable order."""
+        keyed = [e for k in range(self.degree + 1) for e in _monomials(self.nvars, k)]
+        key = {e: i for i, e in enumerate(keyed)}
+        succ = [[key.get(e[:j] + (e[j] + 1,) + e[j + 1:]) for j in range(self.nvars)]
+                for e in keyed]
+        factors = [[v for v in range(self.nvars) for _ in range(e[v])] for e in self.monomials]
+        return succ, factors
+
     def compose_matrix(self, coeffs: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Coefficients of F(M x)."""
-        m = np.asarray(m, dtype=complex)
-        acc: dict[tuple[int, ...], complex] = {}
-        for c, expo in zip(np.asarray(coeffs, dtype=complex), self.monomials):
+        """Coefficients of F(M x), in this order of scalar complex operations.
+
+        Each nonzero coefficient c x^e expands by substituting x_v -> sum_j
+        M[v, j] x_j for the factors of x^e in variable order.  A partial
+        product is a sum of terms; substituting one more factor multiplies
+        each term, in the order the terms arose, by each nonzero M[v, j],
+        j ascending, and adds the product to the term of its new monomial
+        (a new term starts from 0j).  The expanded terms then add to the
+        result in the same way, coefficient by coefficient.  Monomials are
+        integer keys (``_composition``), and the arithmetic is Python
+        ``complex``: numpy's array multiply may round a complex product
+        differently.
+        """
+        rows = [[(j, mj) for j, mj in enumerate(row) if mj != 0]
+                for row in np.asarray(m, dtype=complex).tolist()]
+        succ, expansions = self._composition
+        acc: dict[int, complex] = {}
+        for c, factors in zip(np.asarray(coeffs, dtype=complex).tolist(), expansions):
             if c == 0:
                 continue
-            terms = {(0,) * self.nvars: complex(c)}
-            for v in range(self.nvars):
-                for _ in range(expo[v]):
-                    new: dict[tuple[int, ...], complex] = {}
-                    for e, cv in terms.items():
-                        for j in range(self.nvars):
-                            if m[v, j] == 0:
-                                continue
-                            e2 = list(e)
-                            e2[j] += 1
-                            key = tuple(e2)
-                            new[key] = new.get(key, 0.0) + cv * m[v, j]
-                    terms = new
+            terms = {0: c}
+            for v in factors:
+                new: dict[int, complex] = {}
+                for e, cv in terms.items():
+                    after = succ[e]
+                    for j, mj in rows[v]:
+                        key = after[j]
+                        new[key] = new.get(key, 0j) + cv * mj
+                terms = new
             for e, cv in terms.items():
-                acc[e] = acc.get(e, 0.0) + cv
+                acc[e] = acc.get(e, 0j) + cv
         out = np.zeros(self.dim, dtype=complex)
+        first = len(succ) - self.dim  # the degree-d keys come last, in monomial order
         for e, cv in acc.items():
-            out[self.index[e]] = cv
+            out[e - first] = cv
         return out
 
     def third_derivative_tensor(self, coeffs: np.ndarray) -> np.ndarray:

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from cubicmonodromy import monodromy
+
+# every run draws the same property-test examples and keeps no example database
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 
 @pytest.fixture(scope="session")
