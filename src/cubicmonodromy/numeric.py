@@ -6,15 +6,19 @@ space (the 20 cubic-surface coefficients, the 10 plane-cubic coefficients,
 or an affine image of family parameters), so the tracker below handles one
 batched predictor/corrector loop for a system whose residual and Jacobian
 are supplied by a callback.  The predictor is classical 4th-order
-Runge-Kutta on the Davidenko equation; the corrector is at most four
-Newton iterations to a relative tolerance of 1e-12.  A rejected attempt
-retries from the same point and reuses its first Runge-Kutta stage, so
-a rejection costs one chart-system evaluation less.  A fresh path starts
-at step 0.05; a rejected step shrinks by the factor 0.4, an accepted one
-grows by 1.7.  These are the module constants below; ``TrackOptions``
-holds only what callers set differently: the step cap (0.2 for solves,
-1.0 for loops), the step floor below which tracking fails (1e-14, or
-1e-11 in the puncture-scan walker) and the collision tolerance.
+Runge-Kutta on the Davidenko equation; the corrector (``_newton``) is at
+most four Newton iterations, which along the path accept by contraction
+with no extra residual evaluation and reject a poorly contracting step at
+once, as a possible path jump.  Only the final polish corrects to a
+relative 1e-12, or to the noise floor, and checks the residual.
+A rejected attempt retries from the same point and reuses its first
+Runge-Kutta stage, so a rejection costs one chart-system evaluation
+less.  A fresh path starts at step 0.05; a rejected step shrinks by the
+factor 0.4, an accepted one grows by 1.7.  These are the module
+constants below; ``TrackOptions`` holds only what callers set
+differently: the step cap (0.2 for solves, 1.0 for loops), the step
+floor below which tracking fails (1e-14, or 1e-11 in the puncture-scan
+walker) and the collision tolerance.
 
 A loop is a polyline of such segments, tracked with one step controller:
 its ``TrackTelemetry`` keeps the last proposed step in coefficient
@@ -26,12 +30,13 @@ attempt for several paths (a ``Path`` each: a lane) as one batch: the
 lanes' systems and states are stacked once along a leading lane axis,
 and each Runge-Kutta stage and each Newton iteration is one stacked
 evaluation of only what it reads (J and dR/dt for a stage, R and J for
-an iteration).  A lane leaves the stack when its solve is singular or
-its corrector accepts.  Every lane keeps its own segment, t, step, first
-stage, Newton acceptance and telemetry, and computes bit for bit what it
-computes alone; :func:`track_segment` is the one-lane case.  A campaign
-steps at most ``LANE_SHEETS`` sheets together: 4 line loops, or up to
-10 flex loops, the most that its stop rule lets start at once.
+an iteration).  A lane leaves the stack when its solve is singular, its
+corrector accepts or its path-jump guard rejects.  Every lane keeps its
+own segment, t, step, first stage, Newton acceptance and telemetry, and
+computes bit for bit what it computes alone; :func:`track_segment` is
+the one-lane case.  A campaign steps at most ``LANE_SHEETS`` sheets
+together: 4 line loops, or up to 10 flex loops, the most that its stop
+rule lets start at once.
 """
 
 from __future__ import annotations
@@ -249,7 +254,14 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-CORRECTOR_TOL = 1e-12
+# Newton steps are relative to each sheet's height (``param_scale``), and
+# theta is a sheet's step over its step one iteration before (``_newton``)
+CORRECTOR_TOL = 1e-12  # final polish: the step, and a tenth of the residual bound
+PATH_TOL = 1e-10  # along the path: the predicted next correction
+JUMP_THETA = 0.25  # path-jump guard: theta above this, at a step ...
+JUMP_STEP = 1e-11  # ... above this, rejects the step attempt
+FLOOR_THETA = 0.5  # final polish: theta at least this, at a step ...
+FLOOR_TOL = 1e-9  # ... below this, is the noise floor
 MAX_NEWTON = 4
 H_INIT = 0.05
 GROW = 1.7
@@ -277,7 +289,11 @@ class TrackTelemetry:
     ``step`` is the last proposed step in coefficient distance (the step
     in t times the segment's ``length()``), None before the first segment.
     ``min_path_separation`` is the least ``collision_gap`` over the
-    accepted steps of a collision-checked path.
+    accepted steps of a collision-checked path.  ``max_corrector_residual``
+    is the largest relative residual (|R| over ``scale``) of an accepted
+    correction: along the path the one that its last Newton iteration
+    started from, an upper estimate at no extra evaluation; at the final
+    polish the residual evaluated at the polished point.
     """
 
     steps: int = 0
@@ -466,33 +482,74 @@ def _davidenko(system: SegmentSystem, state, t: np.ndarray):
     return -x, ok
 
 
-def _newton(paths: list[Path], system: SegmentSystem, state, t: np.ndarray) -> list:
+def _newton(paths: list[Path], system: SegmentSystem, state, t: np.ndarray,
+            polish: bool = False) -> list:
     """Newton-correct each lane of the stacked state at its fixed t; per
     lane its corrected state, or None.  A lane leaves the stack once its
-    solve is singular or its corrector accepts."""
+    solve is singular, its corrector accepts or its guard rejects.
+
+    Each sheet's step is measured relative to its height (``param_scale``),
+    and theta is its ratio to the sheet's step one iteration before.
+    Along the path a lane accepts once every sheet's predicted next
+    correction, min(1, theta) times its step (the step itself after the
+    first iteration), is below ``PATH_TOL``; its ``max_corrector_residual``
+    takes the residual that the last iteration already computed, before
+    its correction.  A sheet whose step still exceeds ``JUMP_STEP`` with
+    theta above ``JUMP_THETA`` rejects its lane at once, whether or not it
+    would accept: the predictor may have left the basin of its path.
+
+    The final polish (``polish``) has no guard.  A sheet converges when
+    its step is below ``CORRECTOR_TOL``, or below ``FLOOR_TOL`` once it no
+    longer contracts (theta at least ``FLOOR_THETA``: the noise floor of
+    double).  The lane accepts when every sheet has converged and its
+    residual, evaluated again, is below ten times ``CORRECTOR_TOL``.
+    """
     out = [None] * len(paths)
     lanes = np.arange(len(paths))
+    last = None
     for _ in range(MAX_NEWTON):
         if not len(lanes):
             break
         r, j, _ = system.res_jac_dt(state, t, reads="r")
         delta, stay = _solve(j, r)
-        state = system.update(state, -delta)
-        small = stay & (np.abs(delta).max(axis=-1)
-                        < CORRECTOR_TOL * system.param_scale(state)).all(axis=-1)
-        if small.any():
-            checked, at, at_t = _take(small, system, state, t)
-            res = np.abs(checked.residual(at, at_t)).max(axis=-1)
-            for i, rel in zip(np.flatnonzero(small), res / checked.scale(at, at_t)):
-                telemetry = paths[lanes[i]].telemetry
-                telemetry.max_corrector_residual = max(
-                    telemetry.max_corrector_residual, float(rel.max()))
-                if (rel < 10 * CORRECTOR_TOL).all():
+        before, state = state, system.update(state, -delta)
+        size = np.abs(delta).max(axis=-1) / system.param_scale(state)
+        theta = None if last is None else np.divide(
+            size, last, out=np.where(size > 0, np.inf, 0.0), where=last > 0)
+        if polish:
+            converged = size < CORRECTOR_TOL
+            if theta is not None:
+                converged |= (theta >= FLOOR_THETA) & (size < FLOOR_TOL)
+            done = stay & converged.all(axis=-1)
+            if done.any():
+                checked, at, at_t = _take(done, system, state, t)
+                res = np.abs(checked.residual(at, at_t)).max(axis=-1)
+                for i, rel in zip(np.flatnonzero(done), res / checked.scale(at, at_t)):
+                    _note_residual(paths[lanes[i]], rel)
+                    if (rel < 10 * CORRECTOR_TOL).all():
+                        out[lanes[i]] = state[i]
+                        stay[i] = False
+        else:
+            predicted = size
+            if theta is not None:
+                stay &= ~((theta > JUMP_THETA) & (size > JUMP_STEP)).any(axis=-1)
+                predicted = np.minimum(theta, 1.0) * size
+            done = stay & (predicted < PATH_TOL).all(axis=-1)
+            if done.any():
+                checked, at, at_t, res = _take(done, system, before, t, r)
+                rels = np.abs(res).max(axis=-1) / checked.scale(at, at_t)
+                for i, rel in zip(np.flatnonzero(done), rels):
+                    _note_residual(paths[lanes[i]], rel)
                     out[lanes[i]] = state[i]
-                    stay[i] = False
+                stay &= ~done
         lanes = lanes[stay]
-        system, state, t = _take(stay, system, state, t)
+        system, state, t, last = _take(stay, system, state, t, size)
     return out
+
+
+def _note_residual(path: Path, rel: np.ndarray) -> None:
+    telemetry = path.telemetry
+    telemetry.max_corrector_residual = max(telemetry.max_corrector_residual, float(rel.max()))
 
 
 def step_paths(paths: list[Path]) -> None:
@@ -505,7 +562,8 @@ def step_paths(paths: list[Path]) -> None:
     states are stacked once: each RK4 stage state and the predictor are
     one stacked update, each RK4 stage and each Newton iteration one
     stacked evaluation of what it reads.  A lane leaves the stack only
-    when its solve is singular or its corrector accepts.  The paths must
+    when its solve is singular, its corrector accepts or its path-jump
+    guard rejects the step (``_newton``).  The paths must
     follow one cover (one system class and one number of sheets).  A
     singular Jacobian, a step underflow, a ``normalize`` error or a sheet
     collision rejects or fails only its own lane.
@@ -596,10 +654,11 @@ def step_paths(paths: list[Path]) -> None:
 
 
 def _polish(paths: list[Path]) -> None:
-    """The final Newton polish at t=1 and the conditioning at the end point."""
+    """The final Newton polish at t=1 (``_newton`` with ``polish``) and the
+    conditioning at the end point; a path that it cannot polish fails."""
     system, state = _stack(paths)
     good = []
-    for p, end in zip(paths, _newton(paths, system, state, np.ones(len(paths)))):
+    for p, end in zip(paths, _newton(paths, system, state, np.ones(len(paths)), polish=True)):
         if end is None:
             p._fail(PathTrackingError("final Newton polish failed at t=1"))
         else:

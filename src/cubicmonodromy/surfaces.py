@@ -108,13 +108,9 @@ def eckardt_involution(form: CubicForm, point: np.ndarray) -> ProjectiveMatrix:
         # restrict to the two leading right-singular directions and find
         # the two isotropic lines of the nondegenerate rank-2 part
         e1, e2 = vh[0].conj(), vh[1].conj()
-        q11 = e1 @ b @ e1
-        q12 = e1 @ b @ e2
-        q22 = e2 @ b @ e2
-        roots = np.roots([q22, 2 * q12, q11])  # beta/alpha ratios
         candidates = []
-        for r in roots:
-            line = e1 + r * e2
+        for alpha, beta in _isotropic_pairs(e1 @ b @ e1, e1 @ b @ e2, e2 @ b @ e2):
+            line = alpha * e1 + beta * e2
             candidates.append(np.vstack([kernel, line / np.linalg.norm(line)]))
     for w_basis in candidates:
         # does W contain v?  project v onto span(W)
@@ -132,6 +128,20 @@ def eckardt_involution(form: CubicForm, point: np.ndarray) -> ProjectiveMatrix:
         if form.invariance_residual(m) < ECKARDT_TOL:
             return ProjectiveMatrix(m)
     raise EckardtError("no surface-preserving involution found at the point")
+
+
+def _isotropic_pairs(q11: complex, q12: complex, q22: complex) -> list[tuple[complex, complex]]:
+    """Both roots (alpha : beta) of q11 alpha^2 + 2 q12 alpha beta + q22 beta^2.
+
+    The ratio is taken over the larger of q11 and q22, so a vanishing
+    coefficient keeps its root at (1 : 0) or (0 : 1) instead of dropping it;
+    when both vanish the roots are exactly those two.
+    """
+    if abs(q22) >= abs(q11):
+        if q22 == 0:
+            return [(1, 0), (0, 1)]
+        return [(1, r) for r in np.roots([q22, 2 * q12, q11])]  # beta/alpha ratios
+    return [(r, 1) for r in np.roots([q11, 2 * q12, q22])]  # alpha/beta ratios
 
 
 def symmetry_permutation(m: ProjectiveMatrix, lines: list[ls.Line],

@@ -59,6 +59,19 @@ def test_eckardt_involution_rejects_non_eckardt_point():
         SF.eckardt_involution(fer, pt)
 
 
+def test_eckardt_involution_keeps_both_isotropic_directions():
+    # at this representative both leading directions of the polar quadric are
+    # isotropic: q22 is exactly 0 (and q11 rounding), so the isotropic lines
+    # are (1 : 0) and (0 : 1), and a root taken as beta/alpha alone is lost
+    form = F.family_s3(1.0, 2.0)
+    pt = np.array([0, 0, 1, np.exp(-1j * np.pi / 3)]) / np.sqrt(2)
+    zeta = np.exp(2j * np.pi / 3)
+    mats = [SF.eckardt_involution(form, c * pt).entries for c in (1, -1, 1j, zeta, zeta**2)]
+    for m in mats:  # a reflection has trace 2: scaled so, the matrices agree
+        assert form.invariance_residual(m) < 1e-10
+        assert np.abs(2 * m / np.trace(m) - 2 * mats[0] / np.trace(mats[0])).max() < 1e-10
+
+
 def test_s3_aligned_eckardt_rule():
     # Lemma on Eckardt points (3): the three aligned points' involutions
     # generate an S3

@@ -407,3 +407,70 @@ def test_a_lane_turning_singular_late_fails_alone(monkeypatch, flex_base, trigge
         N.step_paths([p for p in paths if not p.done])
     together = [_outcome(run.finish(p.state, p.telemetry)) for run, p in zip(runs, paths)]
     assert together == alone
+
+
+class _Sluggish(FX.FlexSystem):
+    """A flex system whose lanes solve each Newton iteration with their
+    Jacobian times ``factor``: at a factor f the corrections contract by
+    about 1 - 1/f, not quadratically (f = 1 is the plain system, bit for
+    bit).  ``newton`` records, per Newton evaluation, whether a lane with
+    f != 1 was in the stack."""
+
+    LANE_FIELDS = FX.FlexSystem.LANE_FIELDS + ("factor",)
+    newton: list[bool] = []
+
+    def __init__(self, system, factor):
+        super().__init__(system.c_from, system.c_to)
+        self.factor = np.asarray(factor, dtype=float)
+
+    def res_jac_dt(self, state, t, reads=None):
+        r, j, rt = super().res_jac_dt(state, t, reads)
+        if reads == "r":
+            _Sluggish.newton.append(bool((self.factor != 1).any()))
+            j = j * self.factor.reshape(self.factor.shape + (1,) * (j.ndim - self.factor.ndim))
+        return r, j, rt
+
+
+def test_a_poorly_contracting_lane_is_rejected_alone(monkeypatch, flex_base):
+    # the path-jump guard: a contraction above 1/4 at a correction still
+    # above the noise rejects the step at the second Newton iteration,
+    # without waiting for the last; the other lanes step as they do alone
+    runs = _flex_runs(flex_base, [61, 62, 63])
+    plain = [run.path() for run in runs]
+    N.step_paths(plain)
+    monkeypatch.setattr(_Sluggish, "newton", [])
+    paths = [N.Path([_Sluggish(s, 2.0 if k == 1 else 1.0) for s in run.systems], run.state,
+                    T.LOOP_OPTIONS)
+             for k, run in enumerate(runs)]
+    N.step_paths(paths)
+    assert (paths[1].t, paths[1].telemetry.steps, paths[1].telemetry.rejected) == (0.0, 0, 1)
+    assert _Sluggish.newton[:2] == [True, True] and not any(_Sluggish.newton[2:])
+    for p, q in zip(paths[::2], plain[::2]):
+        assert (p.t, p.telemetry.steps, p.telemetry.rejected) == (q.t, 1, 0)
+        assert p.state.tobytes() == q.state.tobytes()
+
+
+@pytest.mark.parametrize("offset,polished", [(1e-11, True), (1e-9, False)])
+def test_the_polish_accepts_a_stalled_correction_at_the_noise_floor(monkeypatch, flex_base,
+                                                                    offset, polished):
+    # end flexes moved by a relative offset and corrected with 5 J: each step
+    # is about 0.8 times the last, so within MAX_NEWTON iterations no step
+    # gets below CORRECTOR_TOL.  Below FLOOR_TOL such a stall is the noise
+    # floor, and the polish accepts once the residual check passes; from
+    # 1e-9 the residual stays above ten times CORRECTOR_TOL, and it fails.
+    _, bp, base = flex_base
+    plain = FX.FlexSystem(bp, bp)
+    state = FX._state_from_points(base.points)
+    rng = np.random.default_rng(0)
+    scale = offset * plain.param_scale(state)[:, None]
+    moved = plain.update(state, scale * (rng.normal(size=state.shape)
+                                         + 1j * rng.normal(size=state.shape)))
+
+    def polish():
+        path = N.Path([_Sluggish(plain, 5.0)], moved)
+        N._polish([path])
+        return path.error is None
+
+    assert polish() == polished
+    monkeypatch.setattr(N, "FLOOR_TOL", 0.0)
+    assert not polish()
