@@ -501,6 +501,12 @@ class SolveReport:
                 "distinct": DISTINCT_TOL,
                 "meet": MEET_TOL,
             },
+            "telemetry": {
+                "steps": self.telemetry.steps,
+                "rejected": self.telemetry.rejected,
+                "max_condition": self.telemetry.max_condition,
+                "max_corrector_residual": self.telemetry.max_corrector_residual,
+            },
         }
 
 

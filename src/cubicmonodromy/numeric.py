@@ -21,9 +21,15 @@ floor below which tracking fails (1e-14, or 1e-11 in the puncture-scan
 walker) and the collision tolerance.
 
 A loop is a polyline of such segments, tracked with one step controller:
-its ``TrackTelemetry`` keeps the last proposed step in coefficient
-distance, and each segment starts from that step rescaled to its own
-length.  Only the last segment of a loop ends in a Newton polish.
+its ``TrackTelemetry`` carries the controller's step in coefficient
+distance, and only the controller changes it.  An accepted step raises it
+to at least ``GROW`` times the step taken, a rejected attempt sets it to
+``SHRINK`` times the step attempted, and cutting an attempt at the
+segment end or at ``h_max`` never lowers it.  Each segment starts from
+that step rescaled to its own length and capped at ``h_max``; inside a
+segment the step in t follows the same two factors, so a one-segment path
+never reads the carried step.  Only the last segment of a loop ends in a
+Newton polish.
 
 :func:`step_paths` is the one stepping routine.  It takes one step
 attempt for several paths (a ``Path`` each: a lane) as one batch: the
@@ -286,8 +292,11 @@ class TrackOptions:
 class TrackTelemetry:
     """Counters of one tracked path, and the step it carries between segments.
 
-    ``step`` is the last proposed step in coefficient distance (the step
-    in t times the segment's ``length()``), None before the first segment.
+    ``step`` is the step carried in coefficient distance, None before the
+    first attempt: an accepted step raises it to at least ``GROW`` times
+    the step taken, a rejected attempt sets it to ``SHRINK`` times the
+    step attempted (steps in t times the segment's ``length()``), and a
+    step cut at the segment end or at ``h_max`` does not lower it.
     ``min_path_separation`` is the least ``collision_gap`` over the
     accepted steps of a collision-checked path.  ``max_corrector_residual``
     is the largest relative residual (|R| over ``scale``) of an accepted
@@ -401,7 +410,7 @@ class SegmentSystem:
 class Path:
     """One lane: sheets continued along consecutive segments with one step controller.
 
-    The telemetry's ``step`` carries the last proposed step from each
+    The telemetry's ``step`` carries the controller's step from each
     segment to the next, and ``polish`` asks for the Newton polish at the
     end of the last segment.  :func:`step_paths` advances the path; once
     ``done``, ``state`` holds the end sheets, or ``error`` the exception
@@ -622,6 +631,7 @@ def step_paths(paths: list[Path]) -> None:
         if end is None:
             p.telemetry.rejected += 1
             p.proposal = hs[i] * SHRINK
+            p.telemetry.step = p.proposal * p.length
             if p.proposal < p.opts.h_min:
                 p._fail(PathTrackingError(f"step size underflow at t={p.t:.6g}"))
             continue
@@ -649,8 +659,7 @@ def step_paths(paths: list[Path]) -> None:
         if p.done:
             continue
         p.proposal = min(max(p.proposal, hs[i] * GROW), p.opts.h_max)
-        if p.t >= 1.0 and p.length > 0:
-            p.telemetry.step = p.proposal * p.length
+        p.telemetry.step = max(p.telemetry.step or 0.0, hs[i] * GROW * p.length)
 
 
 def _polish(paths: list[Path]) -> None:
@@ -680,9 +689,13 @@ def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None
     shrinks the step for all of them.  A fresh telemetry starts the step
     at ``H_INIT``; one that has tracked a segment before starts it
     from its carried ``step``, rescaled to this segment's length and
-    capped at ``opts.h_max``.  The last step is cut to end at t=1; the
-    cut does not shrink the step carried on.  A zero-length segment takes
-    no step.  With ``polish=False`` the final Newton polish at t=1 and the
+    capped at ``opts.h_max``.  The last step is cut to end at t=1.
+    Neither that cut nor the cap lowers the carried step: only an accepted
+    step (raising it to at least ``GROW`` times the step taken) or a
+    rejected attempt (``SHRINK`` times the step attempted) changes it, so
+    a segment shorter than the step does not shrink the step that the
+    next segment starts from.  A zero-length segment takes no step.
+    With ``polish=False`` the final Newton polish at t=1 and the
     conditioning estimate are skipped, for a segment that another segment
     of the same path follows.  Raises PathTrackingError when the step
     underflows and SheetCollisionError when two sheets merge.  A rejected

@@ -346,7 +346,7 @@ def random_lasso_loop(family: FamilySpec, basepoint, seed: int) -> LoopSpec:
     radius = float(abs(center)) * rng.uniform(0.3, 0.95)
     entry = center * (1 - radius / abs(center))
     pts = [bp, bp + entry * direction]
-    for step in range(1, 25):
+    for step in range(1, 24):
         theta = 2 * np.pi * step / 24
         t = center + (entry - center) * np.exp(1j * theta)
         pts.append(bp + t * direction)

@@ -28,6 +28,8 @@ def test_solve_fermat_json(tmp_path):
     assert len(data["lines"]) == 27
     assert data["max_residual"] < 1e-10
     assert len(data["labeling"]["labels"]) == 27
+    assert data["schema"] == "cubicmonodromy/solve/1"
+    assert data["telemetry"]["steps"] > 0
 
 
 def test_track_constant_loop_identity(capsys):

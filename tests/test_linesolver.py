@@ -1,5 +1,7 @@
 """Line solving: start system, continuation, incidence, matching."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,12 @@ def test_solve_report_json():
     assert len(data["lines"]) == 27
     assert data["tolerances"]["residual"] == 1e-10
     assert data["seed"] == 5
+    tel = data["telemetry"]
+    assert tel == {"steps": rep.telemetry.steps, "rejected": rep.telemetry.rejected,
+                   "max_condition": rep.telemetry.max_condition,
+                   "max_corrector_residual": rep.telemetry.max_corrector_residual}
+    assert tel["steps"] > 0 and tel["max_condition"] >= 1.0
+    json.dumps(data)
 
 
 def test_sheet_pluckers_match_per_line_route_in_all_charts():

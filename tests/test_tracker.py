@@ -188,6 +188,46 @@ def test_loops_must_close():
         T.LoopSpec(family=fam, basepoint=[1.0], waypoints=([1.0], [2.0]))
 
 
+@pytest.mark.parametrize("fam", [F.s4_family(), FX.flexp9_family()], ids=["S4", "FlexP9"])
+def test_loop_builders_make_no_degenerate_segment(fam):
+    bp = M.default_basepoint(fam.name, 0)
+    loops = [T.random_polygon_loop(fam, bp, seed) for seed in range(4)]
+    loops += [T.random_lasso_loop(fam, bp, seed) for seed in range(4)]
+    if fam.parameter_dim == 1:
+        loops += T.petal_loops(fam, bp[0])
+    for loop in loops:
+        lengths = [np.linalg.norm(b - a)
+                   for a, b in zip(loop.waypoints[:-1], loop.waypoints[1:])]
+        assert min(lengths) >= 1e-9 * max(lengths), (loop.kind, loop.detail)
+
+
+def _segment_steps(fam, base, waypoints):
+    """Track the polyline one segment at a time with one telemetry, as a
+    loop is: each segment's (steps taken, carried step after it)."""
+    coeffs = [fam.raw_coeffs(w) for w in waypoints]
+    state, tel = L.sheets_from_lines(base.lines), N.TrackTelemetry()
+    out = []
+    for a, b in zip(coeffs[:-1], coeffs[1:]):
+        before = tel.steps
+        state, tel = N.track_segment(L.LineSystem(a, b), state, T.LOOP_OPTIONS, tel,
+                                     polish=False)
+        out.append((tel.steps - before, tel.step))
+    return out
+
+
+@pytest.mark.parametrize("short", [1e-8, 1e-15])
+def test_a_short_segment_does_not_shrink_the_carried_step(s4_base, short):
+    # a segment shorter than the carried step is taken in one step, cut at
+    # its end: the cut does not lower the step carried into the next segment
+    fam, bp, base, _ = s4_base
+    mid, end = bp + 0.4j, bp - 0.3
+    (_, long_step), (_, after_short), (last, _) = _segment_steps(
+        fam, base, [bp, mid, mid + short, end])
+    assert after_short >= long_step
+    (_, _), (last_without, _) = _segment_steps(fam, base, [bp, mid, end])
+    assert abs(last - last_without) <= 1
+
+
 def test_s3c2_petals_at_cubic_roots():
     # DERIVED: three petals at the cube roots of -27/4
     fam = F.s3c2_family()
