@@ -1,9 +1,11 @@
 """The nine flexes of smooth plane cubics and their monodromy.
 
 Flexes are the intersection of the curve with its Hessian; both are cubics
-in (x, y, z) with 10 coefficients in graded-lex order.  The start system
-is the Fermat member of the Hesse pencil, whose flexes are the nine base
-points of the pencil.  Monodromy loops run in the full 10-coefficient
+in (x, y, z) with 10 coefficients in graded-lex order.  The flex chart
+system reads both from the third-derivative tensor A of the cubic: with
+M = A p, F = p M p / 6, grad F = M p / 2 and the Hessian is det M.  The
+start system is the Fermat member of the Hesse pencil, whose flexes are
+the nine base points of the pencil.  Monodromy loops run in the full 10-coefficient
 space and are expected to generate the affine special linear group
 ASL2(F3) of order 216, identified through the collinearity structure of
 the flexes (the Hesse configuration of 12 lines).
@@ -18,8 +20,7 @@ import numpy as np
 
 from .forms import FamilySpec
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, form_space, matvec, random_unitary,
-                      track_segment)
+                      TrackOptions, form_space, random_unitary, track_segment)
 from . import linesolver as ls
 from .perms import Permutation
 from .tracker import LoopRun, TrackedPermutation
@@ -148,19 +149,14 @@ class FlexSet:
 
 
 class FlexSystem(SegmentSystem):
-    """{F=0, det D^2 F=0} along c(t), at the points (u : v : 1)."""
+    """{F=0, det D^2 F=0} along c(t), at the points (u : v : 1).
 
-    LANE_FIELDS = SegmentSystem.LANE_FIELDS + ("a_from", "a_to", "a_diff")
+    With A the third-derivative tensor and M = A p its contraction with
+    the point, D^2 F = M, grad F = M p / 2 and F = p M p / 6; the t-
+    derivative takes the same contractions of the tensor difference.
+    """
 
-    def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
-        super().__init__(c_from, c_to)
-        self.a_from = SPACE3.third_derivative_tensor(self.c_from)
-        self.a_to = SPACE3.third_derivative_tensor(self.c_to)
-        self.a_diff = self.a_to - self.a_from
-
-    def tensor(self, t) -> np.ndarray:
-        t = np.asarray(t)[..., None, None, None]
-        return (1 - t) * self.a_from + t * self.a_to
+    space = SPACE3
 
     def points(self, state: np.ndarray) -> np.ndarray:
         p = np.empty(state.shape[:-1] + (3,), dtype=complex)
@@ -168,39 +164,38 @@ class FlexSystem(SegmentSystem):
         p[..., 2] = 1
         return p
 
+    @staticmethod
+    def _contract(a: np.ndarray, p: np.ndarray):
+        """Per sheet: M = A p, shape (..., n, 3, 3), M p, shape (..., n, 3),
+        and p M p / 6, shape (..., n)."""
+        m = np.einsum("...ijk,...nk->...nij", a, p)
+        mp = np.einsum("...nij,...nj->...ni", m, p)
+        return m, mp, np.einsum("...ni,...ni->...n", mp, p) / 6
+
     def residual(self, state: np.ndarray, t) -> np.ndarray:
-        p = self.points(state)
-        fvals = matvec(SPACE3.monomial_values(p), self.coeffs(t))
-        hvals = np.linalg.det(np.einsum("...ijk,...nk->...nij", self.tensor(t), p))
-        return np.stack([fvals, hvals], axis=-1)
+        m, _, f = self._contract(self.tensor(t), self.points(state))
+        return np.stack([f, np.linalg.det(m)], axis=-1)
 
     def res_jac_dt(self, state: np.ndarray, t, reads: str | None = None):
         p = self.points(state)
-        coeffs = self.coeffs(t)
         a = self.tensor(t)
-        mono, gmono = SPACE3.monomial_tables(p)  # (..,n,10), (..,n,6)
-        m = np.einsum("...ijk,...nk->...nij", a, p)
+        m, mp, f = self._contract(a, p)
         adj = _adjugate3(m)
         r = rt = None
         if reads != "rt":
-            r = np.empty(state.shape, dtype=complex)
-            r[..., 0] = matvec(mono, coeffs)
-            r[..., 1] = np.linalg.det(m)
+            r = np.stack([f, np.linalg.det(m)], axis=-1)
         j = np.empty(state.shape + (2,), dtype=complex)
-        _, grad_ops = SPACE3.gradient_ops()
+        j[..., 0, :] = mp[..., :2] / 2
         # tr(adj a_k) per sheet, against a contiguous copy of a_k per sheet:
         # bit for bit the one-lane einsum "nij,ji->n", which a view is not
         a_k = np.empty((2,) + adj.shape, dtype=complex)
         for k in range(2):
-            j[..., 0, k] = matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
             a_k[k] = a[..., None, :, :, k]
             j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k[k])
         if reads != "r":
-            # t-derivative: coefficient difference for F, tensor difference for H
-            mdot = np.einsum("...ijk,...nk->...nij", self.a_diff, p)
-            rt = np.empty(state.shape, dtype=complex)
-            rt[..., 0] = matvec(mono, self.c_diff)
-            rt[..., 1] = np.einsum("...nij,...nji->...n", adj, mdot)
+            # t-derivative: the same contractions of the tensor difference
+            mdot, _, fdot = self._contract(self.a_diff, p)
+            rt = np.stack([fdot, np.einsum("...nij,...nji->...n", adj, mdot)], axis=-1)
         return r, j, rt
 
     def update(self, state: np.ndarray, delta: np.ndarray) -> np.ndarray:

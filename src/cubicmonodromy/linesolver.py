@@ -5,6 +5,11 @@ means x_j0 = a x_i0 + b x_i1 and x_j1 = c x_i0 + d x_i1, so the line is
 spanned by v1 = e_i0 + a e_j0 + c e_j1 and v2 = e_i1 + b e_j0 + d e_j1.
 Restricting a cubic form to the span gives a binary cubic whose four
 coefficients are the chart system; its roots in (a,b,c,d) are the lines.
+The coefficients come by polarization: with T the symmetric trilinear
+form of the cubic they are T(v1,v1,v1), 3T(v1,v1,v2), 3T(v1,v2,v2) and
+T(v2,v2,v2), and the Jacobian columns are 3T(v1,v1,e_j), 6T(v1,v2,e_j)
+and 3T(v2,v2,e_j) at the chart's dependent coordinates j, all read from
+one product of every sheet's pairs of spanning rows with the tensor.
 
 The solver composes the target with a random unitary frame (making all
 lines chart-visible with probability 1), tracks the 27 known Fermat lines
@@ -25,37 +30,30 @@ from scipy.optimize import linear_sum_assignment
 from . import schlafli
 from .forms import SPACE, CubicForm, fermat_cubic
 from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
-                      TrackOptions, TrackTelemetry, matvec, random_unitary,
-                      track_segment)
+                      TrackOptions, TrackTelemetry, random_unitary, track_segment)
 
 # free coordinate pairs of the six charts; dependents are the complements
 CHART_FREE = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 CHART_DEP = np.array([[2, 3], [1, 3], [1, 2], [0, 3], [0, 2], [0, 1]])
 
-# sample parameters (s,t) whose evaluations determine a binary cubic
-_SAMPLES = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=complex)
-_VANDER = np.array([[s ** (3 - m) * t ** m for m in range(4)] for s, t in _SAMPLES])
-_VINV = np.linalg.inv(_VANDER)
-
-_ST = _SAMPLES.T.copy()
-_S, _T = _ST
-
-# Per-chart gather tables, as flat offsets into a sheet's block of values.
 # Coordinate v of a chart takes slot _POINT_COLS[chart, v] of (free0,
-# free1, dep0, dep1).  A sheet's sample points come from the rows s, t,
-# a s + b t, c s + d t over the four samples; its basis from the rows
-# (1, 0, a, c) and (0, 1, b, d); its Jacobian columns d/da, d/db, d/dc,
-# d/dd from dF/dx_v at each sample, times s, t, s, t.
+# free1, dep0, dep1); a sheet's spanning rows (1, 0, a, c) and (0, 1, b, d)
+# are gathered through it, as flat offsets into the sheet's block of rows.
 _POINT_COLS = np.empty((6, 4), dtype=np.int64)
 _POINT_COLS[np.arange(6)[:, None], np.hstack([CHART_FREE, CHART_DEP])] = np.arange(4)
-_POINT_GATHER = 4 * _POINT_COLS[:, None, :] + np.arange(4)[:, None]  # [chart, sample, v]
 _BASIS_GATHER = 4 * np.arange(2)[:, None] + _POINT_COLS[:, None, :]  # [chart, row, v]
-_JAC_GATHER = 4 * np.arange(4)[:, None] + CHART_DEP[:, None, [0, 0, 1, 1]]  # [chart, sample, col]
-_JAC_ST = _SAMPLES[:, [0, 1, 0, 1]]
-# coefficients to the coefficients of dF/dx_v, one (10, 20) matrix per v
-_GRAD_OPS = np.array(SPACE.gradient_ops()[1])
-# per number of lane axes: the (v, sheet, sample) to (sheet, sample, v) view
-_GRAD_AXES = [tuple(range(k)) + (k + 1, k + 2, k) for k in range(3)]
+
+# Polarization with A = 6T: R = (A(v1,v1,v1)/6, A(v1,v1,v2)/2,
+# A(v1,v2,v2)/2, A(v2,v2,v2)/6) from the polar vectors A(v_p, v_q, .) of
+# the pairs (v1,v1) and (v2,v2).  Jacobian column d/da is (A(v1,v1,e)/2,
+# A(v1,v2,e), A(v2,v2,e)/2, 0) at e = e_j0, d/db the same shifted down one
+# row (t dF/dx_j0 against s dF/dx_j0), d/dc and d/dd at e = e_j1: J[m, col]
+# is the weighted polar value of pair row _J_PAIR[m, col] (4: a zero row)
+# at dependent coordinate _J_DEP[col].
+_R_WEIGHT = np.array([1 / 6, 1 / 2, 1 / 2, 1 / 6])
+_J_WEIGHT = np.array([1 / 2, 1.0, 1.0, 1 / 2])[:, None]
+_J_PAIR = np.array([[0, 4, 0, 4], [1, 0, 1, 0], [3, 1, 3, 1], [4, 3, 4, 3]])
+_J_DEP = np.array([0, 0, 1, 1])
 
 # Plucker coordinate order: (01, 02, 03, 12, 13, 23)
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -350,39 +348,49 @@ def sheet_pluckers(state: SheetState) -> np.ndarray:
 
 
 class LineSystem(SegmentSystem):
-    """27-line chart system along c(t) = (1-t) c_from + t c_to."""
+    """27-line chart system along c(t) = (1-t) c_from + t c_to: the binary
+    cubic F(s v1 + t v2) of every sheet's line, by polarization."""
+
+    space = SPACE
 
     @staticmethod
     def stack_states(states: list[SheetState]) -> SheetState:
         return SheetState(charts=np.array([s.charts for s in states]),
                           params=np.array([s.params for s in states]))
 
-    def _points(self, state: SheetState) -> np.ndarray:
-        """The sample points s v1 + t v2 of every sheet, shape (..., n, 4, 4)."""
-        params = np.asarray(state.params, dtype=complex)
-        pairs = params.reshape(params.shape[:-1] + (2, 2))  # rows (a, b) and (c, d)
-        rows = np.empty(params.shape[:-1] + (4, 4), dtype=complex)
-        rows[..., :2, :] = _ST
-        dep = rows[..., 2:, :]
-        np.multiply(pairs[..., :1], _S, out=dep)
-        np.add(dep, pairs[..., 1:] * _T, out=dep)
-        return _chart_gather(state.charts, rows, _POINT_GATHER)
+    def _polars(self, state: SheetState, tensors: np.ndarray):
+        """Every sheet's spanning rows, shape (..., n, 2, 4), and its polar
+        vectors A(v_p, v_q, .) of the four pairs, shape (..., n, 4, 4 k),
+        for ``tensors`` holding k tensors side by side, shape (..., 16, 4 k)."""
+        basis = sheet_bases(state)
+        outer = basis[..., :, None, :, None] * basis[..., None, :, None, :]  # (..., n, 2, 2, 4, 4)
+        lead, n = outer.shape[:-5], outer.shape[-5]
+        polars = outer.reshape(lead + (4 * n, 16)) @ tensors
+        return basis, polars.reshape(lead + (n, 4, tensors.shape[-1]))
+
+    @staticmethod
+    def _binary(basis: np.ndarray, polars: np.ndarray) -> np.ndarray:
+        """The coefficients R of the binary cubic, from the polar vectors of one tensor."""
+        ends = polars[..., ::3, None, :]  # the pairs (v1,v1) and (v2,v2)
+        r = (ends * basis[..., None, :, :]).sum(axis=-1)
+        return r.reshape(r.shape[:-2] + (4,)) * _R_WEIGHT
 
     def residual(self, state: SheetState, t) -> np.ndarray:
-        mono = SPACE.monomial_values(self._points(state))
-        return matvec(mono, self.coeffs(t)) @ _VINV.T
+        a = self.tensor(t)
+        return self._binary(*self._polars(state, a.reshape(a.shape[:-3] + (16, -1))))
 
     def res_jac_dt(self, state: SheetState, t, reads: str | None = None):
-        mono, gmono = SPACE.monomial_tables(self._points(state))  # (..,n,4,20), (..,n,4,10)
-        coeffs = self.coeffs(t)
-        r = None if reads == "rt" else matvec(mono, coeffs) @ _VINV.T
-        rt = None if reads == "r" else matvec(mono, self.c_diff) @ _VINV.T
-        # dF/dx_v at every sample, one matrix by vector product per lane and v
-        lanes, n = gmono.shape[:-3], gmono.shape[-3]
-        cols = gmono.reshape(lanes + (1, 4 * n, 10)) @ (_GRAD_OPS @ coeffs[..., None, :, None])
-        grads = cols.reshape(lanes + (4, n, 4)).transpose(_GRAD_AXES[len(lanes)])  # (..., n, 4, 4)
-        j = _VINV @ (_chart_gather(state.charts, grads, _JAC_GATHER) * _JAC_ST)
-        return r, j, rt
+        a = self.tensor(t)
+        if reads != "r":  # A(t) and A_diff side by side: one product for both
+            a = np.concatenate([a, self.a_diff], axis=-1)
+        basis, polars = self._polars(state, a.reshape(a.shape[:-3] + (16, -1)))
+        now = polars[..., :4]
+        r = None if reads == "rt" else self._binary(basis, now)
+        rt = None if reads == "r" else self._binary(basis, polars[..., 4:])
+        dep = np.take_along_axis(now, CHART_DEP[state.charts][..., None, :], axis=-1)
+        cols = np.zeros(dep.shape[:-2] + (5, 2), dtype=complex)
+        np.multiply(dep, _J_WEIGHT, out=cols[..., :4, :])
+        return r, cols[..., _J_PAIR, _J_DEP], rt
 
     def update(self, state: SheetState, delta: np.ndarray) -> SheetState:
         return SheetState(charts=state.charts, params=state.params + delta)

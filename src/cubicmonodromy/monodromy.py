@@ -101,6 +101,8 @@ class MonodromyReport:
             "marked_triple": list(self.marked_triple) if self.marked_triple else None,
             "fingerprints": {k: v.to_json() for k, v in self.fingerprints.items()},
             "verdicts": self.verdicts,
+            "hesse_triples": (None if self.hesse_triples is None
+                              else [list(t) for t in self.hesse_triples]),
         }
 
 

@@ -5,7 +5,11 @@ All homotopies used in this package are straight segments in a coefficient
 space (the 20 cubic-surface coefficients, the 10 plane-cubic coefficients,
 or an affine image of family parameters), so the tracker below handles one
 batched predictor/corrector loop for a system whose residual and Jacobian
-are supplied by a callback.  The predictor is classical 4th-order
+are supplied by a callback.  ``SegmentSystem`` carries the segment of
+coefficients and the same segment of third-derivative tensors, the one
+formulation of a cubic restricted to a linear space that both chart
+systems contract: the lines by polarization along each line, the flexes
+at each point.  The predictor is classical 4th-order
 Runge-Kutta on the Davidenko equation; the corrector (``_newton``) is at
 most four Newton iterations, which along the path accept by contraction
 with no extra residual evaluation and reject a poorly contracting step at
@@ -71,11 +75,10 @@ class FormSpace:
     """Dense homogeneous forms of fixed degree, graded-lex monomial order.
 
     A monomial table is the product, variable by variable from ones, of rows
-    gathered from one table of coordinate powers; ``monomial_tables`` takes
-    the degree-d and the degree-(d-1) table from one such gather.  Every
-    value comes from the same elementwise operations in the same order
-    (``_products``), whatever the layout of the points, and
-    ``compose_matrix`` keeps a fixed order of scalar operations.
+    gathered from one table of coordinate powers.  Every value comes from
+    the same elementwise operations in the same order, whatever the layout
+    of the points, and ``compose_matrix`` keeps a fixed order of scalar
+    operations.
     """
 
     def __init__(self, nvars: int, degree: int):
@@ -85,71 +88,32 @@ class FormSpace:
         self.index = {e: i for i, e in enumerate(self.monomials)}
         self.dim = len(self.monomials)
         self.exponents = np.array(self.monomials, dtype=np.int64)
-        self._grad_ops = None
         # rows of the power table per variable: row v (degree + 1) + e is x_v^e
-        offsets = (degree + 1) * np.arange(nvars)[:, None]
-        lower = np.array(_monomials(nvars, degree - 1), dtype=np.int64).reshape(-1, nvars)
-        self._rows = self.exponents.T + offsets
-        self._pair_rows = np.concatenate([self._rows, lower.T + offsets], axis=1)
+        self._rows = self.exponents.T + (degree + 1) * np.arange(nvars)[:, None]
 
     def monomial_values(self, points: np.ndarray) -> np.ndarray:
-        """Values of every monomial at points of shape (..., nvars)."""
-        pts = np.asarray(points, dtype=complex)
-        return _table(self._products(pts, self._rows), pts.shape[:-1])
-
-    def monomial_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The degree-d table and the degree-(d-1) table of ``gradient_ops``
-        at points of shape (..., nvars); each equals its ``monomial_values``."""
-        pts = np.asarray(points, dtype=complex)
-        vals = self._products(pts, self._pair_rows)
-        lead = pts.shape[:-1]
-        return _table(vals[:self.dim], lead), _table(vals[self.dim:], lead)
-
-    def _products(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Products of the gathered power-table rows, shape (rows.shape[1], points).
+        """Values of every monomial at points of shape (..., nvars), as a
+        C-contiguous table: BLAS sums a strided operand in another order.
 
         Power e is power e-1 times the coordinate, from a row of ones; the
         product starts as ones times the first variable's row (1*x can
         differ from x in the sign of a zero part) and multiplies in the
         other variables' rows in variable order.
         """
+        pts = np.asarray(points, dtype=complex)
         flat = pts.reshape(-1, self.nvars).T
         pw = np.empty((self.nvars, self.degree + 1, flat.shape[1]), dtype=complex)
         pw[:, 0] = 1
         for k in range(1, self.degree + 1):
             np.multiply(pw[:, k - 1], flat, out=pw[:, k])
-        gathered = pw.reshape(-1, flat.shape[1])[rows]  # (nvars, monomials, points)
+        gathered = pw.reshape(-1, flat.shape[1])[self._rows]  # (nvars, monomials, points)
         vals = pw[0, 0] * gathered[0]
         for v in range(1, self.nvars):
             np.multiply(vals, gathered[v], out=vals)
-        return vals
+        return np.ascontiguousarray(vals.T).reshape(pts.shape[:-1] + (self.dim,))
 
     def evaluate(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
         return self.monomial_values(points) @ np.asarray(coeffs, dtype=complex)
-
-    def gradient_ops(self) -> tuple["FormSpace", list[np.ndarray]]:
-        """Lower-degree space plus matrices sending coeffs to d/dx_v coeffs."""
-        if self._grad_ops is None:
-            lower = form_space(self.nvars, self.degree - 1)
-            ops = []
-            for v in range(self.nvars):
-                op = np.zeros((lower.dim, self.dim))
-                for m, e in enumerate(self.monomials):
-                    if e[v] == 0:
-                        continue
-                    e2 = list(e)
-                    e2[v] -= 1
-                    op[lower.index[tuple(e2)], m] = e[v]
-                ops.append(op)
-            self._grad_ops = (lower, ops)
-        return self._grad_ops
-
-    def gradient(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Gradient at points; shape (..., nvars)."""
-        lower, ops = self.gradient_ops()
-        mono = lower.monomial_values(points)
-        cols = [mono @ (op @ np.asarray(coeffs, dtype=complex)) for op in ops]
-        return np.stack(cols, axis=-1)
 
     @cached_property
     def _composition(self) -> tuple[list[list[int | None]], list[list[int]]]:
@@ -209,12 +173,6 @@ class FormSpace:
             raise ValueError("third derivatives only for cubic spaces")
         return np.einsum("m,mijk->ijk", np.asarray(coeffs, dtype=complex),
                          _third_derivative_constants(self.nvars))
-
-
-def _table(vals: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """A (monomials, points) product table as shape lead + (monomials,),
-    C-contiguous: on strided operands BLAS takes another summation order."""
-    return np.ascontiguousarray(vals.T).reshape(lead + (len(vals),))
 
 
 def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -314,24 +272,21 @@ class TrackTelemetry:
     min_path_separation: float = np.inf
 
 
-def matvec(table: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``table @ vec`` lane by lane: a C-contiguous table of shape lanes +
-    (..., d) times a vector of shape lanes + (d,).  Each lane is one matrix
-    by vector product over all its rows, bit for bit the product of the
-    (4, d) or (n, d) blocks that one-lane callers take."""
-    lanes = vec.shape[:-1]
-    rows = table.reshape(lanes + (-1, vec.shape[-1]))
-    return (rows @ vec[..., None]).reshape(table.shape[:-1])
-
-
 class SegmentSystem:
-    """A chart system along the straight segment c(t) = (1-t) c_from + t c_to.
+    """A chart system along the straight segment c(t) = (1-t) c_from + t c_to
+    of cubic forms in ``space``.
 
     The base class owns the segment: its end points, their difference
-    ``c_diff`` and the coefficients ``coeffs(t)``, all complex128.
-    Subclasses supply the residual R(z,t), the Jacobian dR/dz and the
-    t-derivative dR/dt for a batch of sheets, plus optional housekeeping
-    hooks; this is the interface that :func:`step_paths` consumes.
+    ``c_diff`` and the coefficients ``coeffs(t)``, and the same segment of
+    the forms' third-derivative tensors: ``a_from``, ``a_to``, ``a_diff``
+    and ``tensor(t)``, all complex128.  A tensor A is 6 T for the
+    symmetric trilinear form T with F(x) = T(x, x, x), so a chart system
+    restricts its cubic to a linear space by contracting A: both chart
+    systems read R, J and dR/dt from contractions of ``tensor(t)`` and
+    ``a_diff``.  Subclasses supply the residual R(z,t), the Jacobian dR/dz
+    and the t-derivative dR/dt for a batch of sheets, plus optional
+    housekeeping hooks; this is the interface that :func:`step_paths`
+    consumes.
 
     ``stack`` joins one-lane systems into one with a leading lane axis on
     every field named in ``LANE_FIELDS``, and ``take`` keeps some of its
@@ -341,12 +296,16 @@ class SegmentSystem:
     ``length`` and ``normalize`` are one-lane calls.
     """
 
-    LANE_FIELDS = ("c_from", "c_to", "c_diff")
+    space: FormSpace  # the cubic forms of the segment; each subclass sets it
+    LANE_FIELDS = ("c_from", "c_to", "c_diff", "a_from", "a_to", "a_diff")
 
     def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
         self.c_from = np.asarray(c_from, dtype=complex)
         self.c_to = np.asarray(c_to, dtype=complex)
         self.c_diff = self.c_to - self.c_from
+        self.a_from = self.space.third_derivative_tensor(self.c_from)
+        self.a_to = self.space.third_derivative_tensor(self.c_to)
+        self.a_diff = self.a_to - self.a_from
 
     @classmethod
     def stack(cls, systems: list["SegmentSystem"]) -> "SegmentSystem":
@@ -370,11 +329,16 @@ class SegmentSystem:
         t = np.asarray(t)[..., None]
         return (1 - t) * self.c_from + t * self.c_to
 
+    def tensor(self, t) -> np.ndarray:
+        t = np.asarray(t)[..., None, None, None]
+        return (1 - t) * self.a_from + t * self.a_to
+
     def length(self) -> float:
         """Coefficient distance covered by the segment (max-norm)."""
         return float(np.abs(self.c_diff).max())
 
     def residual(self, state, t) -> np.ndarray:
+        """R alone, with no Jacobian: bit for bit the R of ``res_jac_dt``."""
         raise NotImplementedError
 
     def res_jac_dt(self, state, t, reads: str | None = None):

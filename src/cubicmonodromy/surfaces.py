@@ -86,13 +86,9 @@ def eckardt_involution(form: CubicForm, point: np.ndarray) -> ProjectiveMatrix:
     """
     v = np.asarray(point, dtype=complex)
     v = v / np.linalg.norm(v)
-    # polar quadric: B[i,j] = d^2 F / dx_i dx_j at v (symmetric, complex)
-    grad_space, grad_ops = SPACE.gradient_ops()
-    hess_rows = []
-    for op in grad_ops:
-        hess_rows.append(grad_space.gradient(op @ form.coefficients, v))
-    b = np.array(hess_rows)
-    b = 0.5 * (b + b.T)
+    # polar quadric: B[i,j] = d^2 F / dx_i dx_j at v, the third-derivative
+    # tensor contracted with v (exactly symmetric, complex)
+    b = SPACE.third_derivative_tensor(form.coefficients) @ v
     scale = np.abs(b).max()
     if scale == 0:
         raise EckardtError("polar quadric vanishes identically")

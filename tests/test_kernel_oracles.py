@@ -1,13 +1,17 @@
-"""The lean evaluation kernels against their earlier, plainer versions.
+"""The evaluation kernels against their earlier, plainer versions.
 
-Each oracle below is the previous implementation of a kernel, kept
-verbatim.  The kernels must give the same bits: the same values, the same
-signs of zeros and, for ``certify_lines``, the same generator state after
-the call.  Inputs cover every chart, no lane axis and 1, 2 and 4 lanes,
-exact zeros of both signs in the parameters, the points and the
-coefficients, frames with zero entries and permutation frames, and both
-the surface space ``form_space(4, 3)`` and the plane space
-``form_space(3, 3)``.
+Each oracle below is an earlier implementation of a kernel, kept verbatim
+with the tables it read.  Most kernels must give the same bits: the same
+values, the same signs of zeros and, for ``certify_lines``, the same
+generator state after the call.  The chart systems changed formulation on
+purpose: ``LineSystem`` and ``FlexSystem`` now contract the cubic's
+third-derivative tensor, where their oracles sample and interpolate
+(lines) or evaluate monomial tables (F and its gradient for flexes), so
+their results are held to a relative bound instead.  Inputs cover every
+chart, no lane axis and 1, 2 and 4 lanes, exact zeros of both signs in the
+parameters, the points and the coefficients, frames with zero entries and
+permutation frames, and both the surface space ``form_space(4, 3)`` and
+the plane space ``form_space(3, 3)``.
 """
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 from cubicmonodromy import flexes as FX
 from cubicmonodromy import forms as F
 from cubicmonodromy import linesolver as L
-from cubicmonodromy.numeric import form_space, matvec
+from cubicmonodromy.numeric import form_space
 
 LANES = [(), (1,), (2,), (4,)]
 SPACES = [(4, 3), (3, 3)]
@@ -43,6 +47,17 @@ def _complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+# the chart systems changed formulation; against their oracles they differ by at most 7e-16
+CHART_RTOL = 1e-13
+
+
+def assert_close(a, b, rtol=CHART_RTOL):
+    """Same shape and dtype, and max |a - b| within rtol of max |b|."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the earlier implementations
 # ---------------------------------------------------------------------------
@@ -65,10 +80,12 @@ def _table(vals, lead):
 
 
 def _monomial_tables_oracle(space, points):
+    """The degree-d table and the degree-(d-1) table of the gradient."""
     pts = np.asarray(points, dtype=complex)
-    vals = _products_oracle(space, pts, space._pair_rows)
+    lower = form_space(space.nvars, space.degree - 1)
     lead = pts.shape[:-1]
-    return _table(vals[:space.dim], lead), _table(vals[space.dim:], lead)
+    return (_table(_products_oracle(space, pts, space._rows), lead),
+            _table(_products_oracle(lower, pts, lower._rows), lead))
 
 
 def _monomial_values_oracle(space, points):
@@ -76,25 +93,54 @@ def _monomial_values_oracle(space, points):
     return _table(_products_oracle(space, pts, space._rows), pts.shape[:-1])
 
 
+def _gradient_ops(space):
+    """Matrices sending coefficients to the coefficients of d/dx_v, one per v."""
+    lower = form_space(space.nvars, space.degree - 1)
+    ops = np.zeros((space.nvars, lower.dim, space.dim))
+    for m, e in enumerate(space.monomials):
+        for v in range(space.nvars):
+            if e[v]:
+                ops[v, lower.index[e[:v] + (e[v] - 1,) + e[v + 1:]], m] = e[v]
+    return ops
+
+
+def _matvec(table, vec):
+    lanes = vec.shape[:-1]
+    rows = table.reshape(lanes + (-1, vec.shape[-1]))
+    return (rows @ vec[..., None]).reshape(table.shape[:-1])
+
+
+# the sample-and-interpolate line kernel: the binary cubic through its
+# values at four samples (s, t), and the per-chart gather tables it read
+_SAMPLES = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=complex)
+_VINV = np.linalg.inv(np.array([[s ** (3 - m) * t ** m for m in range(4)] for s, t in _SAMPLES]))
+_S, _T = _SAMPLES.T.copy()
+# per-chart gathers, [chart, sample, v] and [chart, sample, col]
+_POINT_GATHER = 4 * L._POINT_COLS[:, None, :] + np.arange(4)[:, None]
+_JAC_GATHER = 4 * np.arange(4)[:, None] + L.CHART_DEP[:, None, [0, 0, 1, 1]]
+_JAC_ST = _SAMPLES[:, [0, 1, 0, 1]]
+_GRAD_OPS = _gradient_ops(L.SPACE)
+
+
 def _points_oracle(state):
     params = np.asarray(state.params, dtype=complex)
     pairs = params.reshape(params.shape[:-1] + (2, 2))
     rows = np.empty(params.shape[:-1] + (4, 4), dtype=complex)
-    rows[..., 0, :] = L._S
-    rows[..., 1, :] = L._T
-    np.add(pairs[..., :1] * L._S, pairs[..., 1:] * L._T, out=rows[..., 2:, :])
-    return L._chart_gather(state.charts, rows, L._POINT_GATHER)
+    rows[..., 0, :] = _S
+    rows[..., 1, :] = _T
+    np.add(pairs[..., :1] * _S, pairs[..., 1:] * _T, out=rows[..., 2:, :])
+    return L._chart_gather(state.charts, rows, _POINT_GATHER)
 
 
 def _res_jac_dt_oracle(system, state, t, reads=None):
     mono, gmono = _monomial_tables_oracle(L.SPACE, _points_oracle(state))
     coeffs = system.coeffs(t)
-    r = None if reads == "rt" else matvec(mono, coeffs) @ L._VINV.T
-    rt = None if reads == "r" else matvec(mono, system.c_diff) @ L._VINV.T
+    r = None if reads == "rt" else _matvec(mono, coeffs) @ _VINV.T
+    rt = None if reads == "r" else _matvec(mono, system.c_diff) @ _VINV.T
     lanes, n = gmono.shape[:-3], gmono.shape[-3]
-    cols = gmono.reshape(lanes + (1, 4 * n, 10)) @ (L._GRAD_OPS @ coeffs[..., None, :, None])
+    cols = gmono.reshape(lanes + (1, 4 * n, 10)) @ (_GRAD_OPS @ coeffs[..., None, :, None])
     grads = np.moveaxis(cols.reshape(lanes + (4, n, 4)), -3, -1)
-    j = L._VINV @ (L._chart_gather(state.charts, grads, L._JAC_GATHER) * L._JAC_ST)
+    j = _VINV @ (L._chart_gather(state.charts, grads, _JAC_GATHER) * _JAC_ST)
     return r, j, rt
 
 
@@ -146,17 +192,17 @@ def _flex_res_jac_dt_oracle(system, state, t, reads=None):
     adj = FX._adjugate3(m)
     r = rt = None
     if reads != "rt":
-        r = np.stack([matvec(mono, coeffs), np.linalg.det(m)], axis=-1)
+        r = np.stack([_matvec(mono, coeffs), np.linalg.det(m)], axis=-1)
     j = np.empty(state.shape + (2,), dtype=complex)
-    _, grad_ops = FX.SPACE3.gradient_ops()
+    grad_ops = _gradient_ops(FX.SPACE3)
     for k in range(2):
-        j[..., 0, k] = matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
+        j[..., 0, k] = _matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
         a_k = np.ascontiguousarray(np.broadcast_to(a[..., None, :, :, k], adj.shape))
         j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k)
     if reads != "r":
         mdot = np.einsum("...ijk,...nk->...nij", system.a_diff, p)
         ht = np.einsum("...nij,...nji->...n", adj, mdot)
-        rt = np.stack([matvec(mono, system.c_diff), ht], axis=-1)
+        rt = np.stack([_matvec(mono, system.c_diff), ht], axis=-1)
     return r, j, rt
 
 
@@ -169,10 +215,11 @@ def _flex_res_jac_dt_oracle(system, state, t, reads=None):
 @pytest.mark.parametrize("lanes", LANES, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_monomial_tables_match_the_oracle(nvars, degree, lanes, seed):
+    # the table of the space and of its lower space, form_space(nvars, degree - 1)
     rng = np.random.default_rng(seed)
-    space = form_space(nvars, degree)
+    space, lower = form_space(nvars, degree), form_space(nvars, degree - 1)
     points = _with_zeros(rng, _complex(rng, lanes + (9, 4, nvars)), share=0.3)
-    mono, gmono = space.monomial_tables(points)
+    mono, gmono = space.monomial_values(points), lower.monomial_values(points)
     ref_mono, ref_gmono = _monomial_tables_oracle(space, points)
     assert_same_bits(mono, ref_mono)
     assert_same_bits(gmono, ref_gmono)
@@ -180,7 +227,7 @@ def test_monomial_tables_match_the_oracle(nvars, degree, lanes, seed):
     assert_same_bits(space.monomial_values(points), _monomial_values_oracle(space, points))
     # the same points as a strided view
     view = np.repeat(points, 2, axis=-1)[..., ::2]
-    assert_same_bits(space.monomial_tables(view)[0], _monomial_tables_oracle(space, view)[0])
+    assert_same_bits(space.monomial_values(view), _monomial_tables_oracle(space, view)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +257,12 @@ def _line_lanes(rng, lanes):
 @pytest.mark.parametrize("lanes", LANES, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_line_points_match_the_oracle(lanes, seed):
-    system, state, _ = _line_lanes(np.random.default_rng(seed), lanes)
-    assert_same_bits(system._points(state), _points_oracle(state))
+    # the spanning rows that the kernel contracts carry the oracle's sample
+    # points: s v1 + t v2 at each sample (s, t), bit for bit
+    _, state, _ = _line_lanes(np.random.default_rng(seed), lanes)
+    basis = L.sheet_bases(state)
+    points = (_S[:, None] * basis[..., None, 0, :]) + (_T[:, None] * basis[..., None, 1, :])
+    assert_same_bits(points, _points_oracle(state))
 
 
 @pytest.mark.parametrize("reads", [None, "r", "rt"])
@@ -224,7 +275,7 @@ def test_line_res_jac_dt_matches_the_oracle(reads, lanes, seed):
     for a, b in zip(out, ref):
         assert (a is None) == (b is None)
         if a is not None:
-            assert_same_bits(a, b)
+            assert_close(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +307,50 @@ def test_flex_res_jac_dt_matches_the_oracle(reads, lanes, seed):
     for a, b in zip(out, ref):
         assert (a is None) == (b is None)
         if a is not None:
-            assert_same_bits(a, b)
+            assert_close(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Both chart systems against plain evaluation of the forms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lanes", [(), (1,), (4,)], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_line_residual_is_the_restricted_cubic(lanes, seed):
+    # F(s v1 + t v2) from FormSpace.evaluate equals sum_m R_m s^(3-m) t^m
+    rng = np.random.default_rng(seed)
+    system, state, t = _line_lanes(rng, lanes)
+    r = system.res_jac_dt(state, t)[0].reshape(-1, 27, 4)
+    coeffs = np.atleast_2d(system.coeffs(t))
+    charts, params = state.charts.reshape(-1, 27), state.params.reshape(-1, 27, 4)
+    for c, lane_charts, lane_params, lane_r in zip(coeffs, charts, params, r):
+        for chart, p, rs in zip(lane_charts, lane_params, lane_r):
+            v1, v2 = L.basis_from_chart(int(chart), p)
+            s_, t_ = _complex(rng, (2, 5))
+            points = s_[:, None] * v1 + t_[:, None] * v2
+            restricted = sum(rs[m] * s_ ** (3 - m) * t_ ** m for m in range(4))
+            scale = np.abs(c).max() * np.linalg.norm(points, axis=-1) ** 3
+            assert (np.abs(restricted - L.SPACE.evaluate(c, points)) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("lanes", [(), (1,), (4,)], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_flex_residual_is_the_cubic_and_its_hessian(lanes, seed):
+    # R = (F, det D^2 F) at (u : v : 1), from PlaneCubicForm.evaluate and
+    # the coefficients of the Hessian
+    system, state, t = _flex_lanes(np.random.default_rng(seed), lanes)
+    r = system.res_jac_dt(state, t)[0].reshape(-1, 9, 2)
+    coeffs = np.atleast_2d(system.coeffs(t))
+    points = system.points(state).reshape(-1, 9, 3)
+    for c, p, rl in zip(coeffs, points, r):
+        top = np.abs(c).max()
+        hess = FX.hessian_coefficients(c)
+        want = np.stack([top * FX.PlaneCubicForm(c).evaluate(p),
+                         FX.SPACE3.evaluate(hess, p)], axis=-1)
+        nrm = np.linalg.norm(p, axis=-1, keepdims=True) ** 3
+        scale = np.array([top, np.abs(hess).max()]) * nrm
+        assert (np.abs(rl - want) <= 1e-13 * scale).all()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from cubicmonodromy import forms as F
 from cubicmonodromy import linesolver as L
 from cubicmonodromy import schlafli as S
+from cubicmonodromy.numeric import form_space
 
 
 def test_fermat_line_substitution_cancels():
@@ -282,6 +283,11 @@ def test_rejected_steps_reuse_their_first_stage(monkeypatch):
     assert len(calls) == 232 - 11 - 1
 
 
+# the binary cubic through its values at four samples (s, t): the reference
+_SAMPLES = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=complex)
+_VINV = np.linalg.inv(np.array([[s ** (3 - m) * t ** m for m in range(4)] for s, t in _SAMPLES]))
+
+
 def _grid_points(charts, params):
     """Sample points stored through per-sheet index grids: the reference."""
     n = len(charts)
@@ -289,12 +295,24 @@ def _grid_points(charts, params):
     a, b, c, d = params.T
     pts = np.zeros((n, 4, 4), dtype=params.dtype)
     rows, samples = np.arange(n)[:, None], np.arange(4)[None, :]
-    s, t = L._SAMPLES[:, 0], L._SAMPLES[:, 1]
+    s, t = _SAMPLES[:, 0], _SAMPLES[:, 1]
     pts[rows, samples, free[:, :1]] = s
     pts[rows, samples, free[:, 1:]] = t
     pts[rows, samples, dep[:, :1]] = a[:, None] * s + b[:, None] * t
     pts[rows, samples, dep[:, 1:]] = c[:, None] * s + d[:, None] * t
     return pts
+
+
+def _gradient(coeffs, points):
+    """dF/dx_v at the points, from the derivative of each monomial."""
+    lower = form_space(4, 2)
+    mono = lower.monomial_values(points)
+    grads = np.zeros(points.shape, dtype=complex)
+    for c, e in zip(coeffs, F.SPACE.monomials):
+        for v in range(4):
+            if e[v]:
+                grads[..., v] += e[v] * c * mono[..., lower.index[e[:v] + (e[v] - 1,) + e[v + 1:]]]
+    return grads
 
 
 def _grid_jacobian(charts, grads):
@@ -303,16 +321,15 @@ def _grid_jacobian(charts, grads):
     dep = L.CHART_DEP[charts]
     rows, samples = np.arange(n)[:, None], np.arange(4)[None, :]
     g0, g1 = grads[rows, samples, dep[:, :1]], grads[rows, samples, dep[:, 1:]]
-    s, t = L._SAMPLES[:, 0], L._SAMPLES[:, 1]
-    return np.einsum("mr,nrp->nmp", L._VINV, np.stack([g0 * s, g0 * t, g1 * s, g1 * t], -1))
-
-
-def _same_bits(a, b):
-    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    s, t = _SAMPLES[:, 0], _SAMPLES[:, 1]
+    return np.einsum("mr,nrp->nmp", _VINV, np.stack([g0 * s, g0 * t, g1 * s, g1 * t], -1))
 
 
 @pytest.mark.parametrize("dtype", [complex])
 def test_chart_tables_match_index_grids(dtype):
+    # the Jacobian columns at each chart's dependent coordinates, against
+    # the gradient at sample points interpolated back; the kernel contracts
+    # the tensor instead, so the bound is relative
     rng = np.random.default_rng(9)
     charts = np.repeat(np.arange(6), 5)
     params = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
@@ -320,10 +337,10 @@ def test_chart_tables_match_index_grids(dtype):
     c_from, c_to = (rng.normal(size=20) + 1j * rng.normal(size=20) for _ in range(2))
     system = L.LineSystem(c_from.astype(dtype), c_to.astype(dtype))
     state = L.SheetState(charts=charts, params=params.astype(dtype))
-    pts = _grid_points(charts, state.params)
-    assert _same_bits(system._points(state), pts)
-    grads = F.SPACE.gradient(system.coeffs(0.3), pts)
-    assert _same_bits(system.res_jac_dt(state, 0.3)[1], _grid_jacobian(charts, grads))
+    grads = _gradient(system.coeffs(0.3), _grid_points(charts, state.params))
+    j, ref = system.res_jac_dt(state, 0.3)[1], _grid_jacobian(charts, grads)
+    assert j.dtype == ref.dtype and j.shape == ref.shape
+    assert np.abs(j - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("offset", [1e-2, 1e-4])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cubicmonodromy import flexes as FX
 from cubicmonodromy import forms as F
 from cubicmonodromy import monodromy as M
 from cubicmonodromy import perms as P
@@ -122,6 +123,19 @@ def test_report_json_roundtrippable(s4_report):
     assert data["plateau_reached"] is True
     import json
     json.dumps(data)  # fully serializable
+
+
+def test_report_json_carries_the_hesse_triples(claim_results):
+    # the flex campaign's base: 12 collinear triples, 4 through each flex,
+    # which every tracked permutation maps onto themselves; null for lines
+    reports = claim_results["reports"]
+    triples = reports["FlexP9"]["hesse_triples"]
+    FX.check_hesse_configuration([tuple(t) for t in triples])
+    lines = {frozenset(t) for t in triples}
+    for tp in reports["FlexP9"]["tracked"]:
+        assert {frozenset(tp["perm"][i] for i in t) for t in lines} == lines
+    assert reports["FlexP9"]["schema"] == "cubicmonodromy/report/1"
+    assert all(r["hesse_triples"] is None for key, r in reports.items() if key != "FlexP9")
 
 
 def test_generic20_basepoint_independence():
