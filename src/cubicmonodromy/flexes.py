@@ -23,7 +23,7 @@ from .numeric import (PathTrackingError, SegmentSystem, SheetCollisionError,
                       TrackOptions, form_space, random_unitary, track_segment)
 from . import linesolver as ls
 from .perms import Permutation
-from .tracker import LoopRun, TrackedPermutation
+from .tracker import LoopRun, TrackedPermutation, leg_systems
 
 SPACE3 = form_space(3, 3)
 
@@ -153,7 +153,7 @@ class FlexSystem(SegmentSystem):
 
     With A the third-derivative tensor and M = A p its contraction with
     the point, D^2 F = M, grad F = M p / 2 and F = p M p / 6; the t-
-    derivative takes the same contractions of the tensor difference.
+    derivative takes the same contractions of dA/dt.
     """
 
     space = SPACE3
@@ -178,7 +178,10 @@ class FlexSystem(SegmentSystem):
 
     def res_jac_dt(self, state: np.ndarray, t, reads: str | None = None):
         p = self.points(state)
-        a = self.tensor(t)
+        if reads == "r":
+            a = self.tensor(t)
+        else:
+            a, rate = self.tensor(t, rate=True)
         m, mp, f = self._contract(a, p)
         adj = _adjugate3(m)
         r = rt = None
@@ -193,8 +196,8 @@ class FlexSystem(SegmentSystem):
             a_k[k] = a[..., None, :, :, k]
             j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k[k])
         if reads != "r":
-            # t-derivative: the same contractions of the tensor difference
-            mdot, _, fdot = self._contract(self.a_diff, p)
+            # t-derivative: the same contractions of dA/dt
+            mdot, _, fdot = self._contract(rate, p)
             rt = np.stack([fdot, np.einsum("...nij,...nji->...n", adj, mdot)], axis=-1)
         return r, j, rt
 
@@ -317,6 +320,12 @@ def check_hesse_configuration(triples: list[tuple[int, int, int]]) -> None:
         raise FlexError(f"line counts per point are {counts}, expected all 4")
 
 
+def preserves_triples(perm: Permutation, triples: list[tuple[int, int, int]]) -> bool:
+    """Does the flex permutation map the collinear triples onto themselves?"""
+    lines = {frozenset(t) for t in triples}
+    return all(frozenset(perm.images[i] for i in t) in lines for t in lines)
+
+
 def f3_coordinate_bijections(triples: list[tuple[int, int, int]]):
     """All bijections flexes -> F3^2 adapted to the collinearity structure.
 
@@ -394,7 +403,8 @@ def flex_loop_run(loop, base: FlexSet, frame_seed: int = 0) -> LoopRun:
     """Continue the nine flexes around a loop in coefficient space.
 
     The whole loop is tracked in one random unitary frame (composition
-    with the frame is linear on coefficients, so segments stay segments).
+    with the frame is linear on coefficients, so segments stay segments),
+    leg by leg as a line loop is.
     Its permutation is a tracker.TrackedPermutation of degree 9.
     """
     rng = np.random.default_rng(frame_seed)
@@ -403,7 +413,7 @@ def flex_loop_run(loop, base: FlexSet, frame_seed: int = 0) -> LoopRun:
     state = _state_from_points(base.points @ frame_inv.T)
     coeffs = [SPACE3.compose_matrix(loop.family.raw_coeffs(w), frame)
               for w in loop.waypoints]
-    systems = [FlexSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
+    systems = leg_systems(FlexSystem, loop, coeffs)
 
     def finish(state, telemetry) -> TrackedPermutation:
         end_pts = np.array([normalize_point(p)

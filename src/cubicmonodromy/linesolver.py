@@ -348,8 +348,8 @@ def sheet_pluckers(state: SheetState) -> np.ndarray:
 
 
 class LineSystem(SegmentSystem):
-    """27-line chart system along c(t) = (1-t) c_from + t c_to: the binary
-    cubic F(s v1 + t v2) of every sheet's line, by polarization."""
+    """27-line chart system along a leg c(t): the binary cubic
+    F(s v1 + t v2) of every sheet's line, by polarization."""
 
     space = SPACE
 
@@ -380,9 +380,10 @@ class LineSystem(SegmentSystem):
         return self._binary(*self._polars(state, a.reshape(a.shape[:-3] + (16, -1))))
 
     def res_jac_dt(self, state: SheetState, t, reads: str | None = None):
-        a = self.tensor(t)
-        if reads != "r":  # A(t) and A_diff side by side: one product for both
-            a = np.concatenate([a, self.a_diff], axis=-1)
+        if reads == "r":
+            a = self.tensor(t)
+        else:  # A(t) and dA/dt side by side: one product for both
+            a = np.concatenate(self.tensor(t, rate=True), axis=-1)
         basis, polars = self._polars(state, a.reshape(a.shape[:-3] + (16, -1)))
         now = polars[..., :4]
         r = None if reads == "rt" else self._binary(basis, now)

@@ -3,12 +3,14 @@
 A campaign solves a family member once, then tracks loops - petals at
 known punctures, twisted loops when the family has a residual parameter
 symmetry, and random polygon/lasso loops - until the generated group
-order is stable for ten consecutive loops or the budget runs out.  Loops
-of at most ``numeric.LANE_SHEETS`` sheets in all (4 line loops, or up to
-10 flex loops) are tracked at once, as lanes of one batch of
-chart-system evaluations; their results are used in stream order, and a
-loop starts only once no stop can come before it, so the groups, the
-failures and the stop are those of tracking the loops one by one.  The tracked group,
+order is stable for ten consecutive loops or the budget runs out.  A loop
+starts only once no stop can come before it, and every loop so admitted
+(up to ten past the last one used) is tracked at once, as a lane of one
+batch of chart-system evaluations.  Each loop's permutation must keep the
+cover's exact invariants (the Schlafli incidence, commuting with the
+deck, the Hesse triples), or it is a failure, not a generator.  The
+results are used in stream order, so the groups, the failures and the
+stop are those of tracking the loops one by one.  The tracked group,
 built on the stabilizer chain that the stop rule completed, is the
 coarse-monodromy surrogate; joined with the deck group (the symmetry
 action on the lines) it surrogates the stack monodromy.  Claims pair
@@ -26,7 +28,7 @@ from . import flexes as fx
 from . import linesolver as ls
 from . import perms, schlafli, tracker
 from .forms import FamilySpec, get_family
-from .numeric import LANE_SHEETS, step_paths
+from .numeric import step_paths
 from .perms import PermGroup, Permutation
 from .surfaces import symmetry_permutation
 
@@ -35,6 +37,11 @@ PLATEAU = 10
 
 class CampaignError(RuntimeError):
     """The campaign could not produce a usable base solve or group."""
+
+
+class InvariantError(RuntimeError):
+    """A loop's permutation breaks an exact invariant of the cover: the
+    Schlafli incidence, commuting with the deck, or the Hesse triples."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,8 @@ class MonodromyReport:
     fingerprints: dict = field(default_factory=dict)
     verdicts: list[dict] = field(default_factory=list)
     hesse_triples: list[tuple[int, int, int]] | None = None  # the flex base's collinear triples
+    rounds: int = 0  # the step_paths calls that stepped the campaign's loops
+    lane_rounds: int = 0  # their live lanes, summed over those calls
 
     def to_json(self) -> dict:
         return {
@@ -103,30 +112,33 @@ class MonodromyReport:
             "verdicts": self.verdicts,
             "hesse_triples": (None if self.hesse_triples is None
                               else [list(t) for t in self.hesse_triples]),
+            "rounds": self.rounds,
+            "lane_rounds": self.lane_rounds,
         }
 
 
-def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
+def _accumulate(degree: int, loop_stream, budget: int, mandatory: int, check=None):
     """Track loops from the stream until plateau or budget, several at once.
 
     ``loop_stream`` yields (description, thunk) pairs; a thunk returns a
     ``tracker.LoopRun`` or raises.  Loop i (counted from 1) starts only
     when no stop can come before it: i <= budget and i <= max(c + PLATEAU
     - s, mandatory + 1), where c is the last loop committed in stream
-    order and s its stable count.  At most ``LANE_SHEETS // degree`` loops
-    (at least one) are in flight: 4 line loops; for flex loops the start
-    rule binds first, at PLATEAU - s once no mandatory loop is left (a
-    flex campaign has none).  Results commit in stream order, so the
-    chain, the failures and the stop are those of one loop at a time, and
-    no loop past the stop is tracked.  Returns (tracked list, failures,
-    plateau_reached, chain), the chain extended by every tracked
-    permutation in order.
+    order and s its stable count.  Every loop that this rule admits is in
+    flight at once, a lane of each ``step_paths`` call.  ``check`` raises
+    ``InvariantError`` for a permutation that breaks an exact invariant of
+    the cover; that loop, like one that raises, is a failure: it leaves the
+    chain and does not count towards the plateau.  Results commit in stream
+    order, so the chain, the failures and the stop are those of one loop
+    at a time, and no loop past the stop is tracked.  Returns (tracked
+    list, failures, plateau_reached, chain, rounds, lane_rounds), the chain
+    extended by every tracked permutation in order, ``rounds`` the
+    ``step_paths`` calls and ``lane_rounds`` their lanes summed.
     """
-    in_flight = max(1, LANE_SHEETS // degree)
     chain = perms.StabilizerChain(degree)
     tracked: list[tracker.TrackedPermutation] = []
     failures: list[str] = []
-    stable = committed = started = 0
+    stable = committed = started = rounds = lane_rounds = 0
     lanes = []  # (index, description, run, path) of the loops in flight
     ended: dict[int, tuple[str, object]] = {}  # index -> (description, result or exception)
     loops = iter(loop_stream)
@@ -141,9 +153,9 @@ def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
             grew = chain.extend(np.array(out.perm.images))
             stable = 0 if grew else stable + 1
             if committed > mandatory and stable >= PLATEAU:
-                return tracked, failures, True, chain
+                return tracked, failures, True, chain, rounds, lane_rounds
         reach = min(budget, max(committed + PLATEAU - stable, mandatory + 1))
-        while len(lanes) < in_flight and started < reach:
+        while started < reach:
             item = next(loops, None)
             if item is None:  # the stream has ended: no loop past this one
                 budget = started
@@ -159,15 +171,20 @@ def _accumulate(degree: int, loop_stream, budget: int, mandatory: int):
         if not lanes:
             if committed + 1 in ended:
                 continue
-            return tracked, failures, False, chain
+            return tracked, failures, False, chain, rounds, lane_rounds
         step_paths([lane[3] for lane in lanes])
+        rounds += 1
+        lane_rounds += len(lanes)
         for index, desc, run, path in lanes:
             if not path.done:
                 continue
             try:
                 if path.error is not None:
                     raise path.error
-                ended[index] = (desc, run.finish(path.state, path.telemetry))
+                out = run.finish(path.state, path.telemetry)
+                if check is not None:
+                    check(out.perm)
+                ended[index] = (desc, out)
             except Exception as exc:
                 ended[index] = (desc, exc)
         lanes = [lane for lane in lanes if not lane[3].done]
@@ -233,20 +250,25 @@ def run_campaign(c: Campaign) -> MonodromyReport:
             yield (f"{loop.kind}:{seed}", (lambda l=loop, s=seed: track(l, s)))
             k += 1
 
-    tracked, failures, plateau, chain = _accumulate(c.family.degree, stream(),
-                                                    c.loop_budget, len(mandatory))
+    def check(perm: Permutation) -> None:
+        """The cover's exact invariants, for one loop's permutation."""
+        if labeling is not None and not schlafli.is_graph_automorphism(perm):
+            raise InvariantError("breaks the Schlafli incidence")
+        if any(perms.compose(perm, d) != perms.compose(d, perm) for d in deck_perms):
+            raise InvariantError("does not commute with the deck")
+        if hesse_triples is not None and not fx.preserves_triples(perm, hesse_triples):
+            raise InvariantError("breaks the Hesse triples")
+
+    tracked, failures, plateau, chain, rounds, lane_rounds = _accumulate(
+        c.family.degree, stream(), c.loop_budget, len(mandatory), check)
     if not tracked:
         raise CampaignError(f"no loop tracked successfully: {failures}")
     gens = [tp.perm for tp in tracked]
-    if labeling is not None and not all(map(schlafli.is_graph_automorphism, gens)):
-        raise CampaignError("a tracked permutation broke the incidence structure")
+    assert labeling is None or all(map(schlafli.is_graph_automorphism, gens))
     group = perms.chain_group(chain, gens)
     combined = None
     if deck_group is not None:
-        for g in gens:
-            for d in deck_perms:
-                if perms.compose(g, d) != perms.compose(d, g):
-                    raise CampaignError("tracked generator does not centralize the deck")
+        assert all(perms.compose(g, d) == perms.compose(d, g) for g in gens for d in deck_perms)
         combined = perms.generate_group(gens + deck_perms)
 
     report = MonodromyReport(
@@ -254,7 +276,7 @@ def run_campaign(c: Campaign) -> MonodromyReport:
         tracked=tracked, group=group, deck_group=deck_group,
         combined_group=combined, labeling=labeling, plateau_reached=plateau,
         loop_failures=failures, marked_triple=_marked_triple(c, base, labeling),
-        hesse_triples=hesse_triples,
+        hesse_triples=hesse_triples, rounds=rounds, lane_rounds=lane_rounds,
     )
     report.fingerprints["tracked"] = perms.fingerprint(group)
     if deck_group is not None:
@@ -523,11 +545,7 @@ def _check_asl_equality(report: MonodromyReport, group: PermGroup,
                         detail: dict) -> bool:
     triples = report.hesse_triples
     fx.check_hesse_configuration(triples)
-    tset = [frozenset(t) for t in triples]
-    preserved = all(
-        frozenset(tp.perm.images[i] for i in t) in tset
-        for tp in report.tracked for t in tset
-    )
+    preserved = all(fx.preserves_triples(tp.perm, triples) for tp in report.tracked)
     detail["collinearity_preserved"] = preserved
     if not preserved:
         return False

@@ -1,15 +1,16 @@
 """Shared numerical machinery, all in double (complex128): homogeneous
 form spaces and path tracking.
 
-All homotopies used in this package are straight segments in a coefficient
-space (the 20 cubic-surface coefficients, the 10 plane-cubic coefficients,
-or an affine image of family parameters), so the tracker below handles one
-batched predictor/corrector loop for a system whose residual and Jacobian
-are supplied by a callback.  ``SegmentSystem`` carries the segment of
-coefficients and the same segment of third-derivative tensors, the one
-formulation of a cubic restricted to a linear space that both chart
-systems contract: the lines by polarization along each line, the flexes
-at each point.  The predictor is classical 4th-order
+All homotopies used in this package are polylines of straight segments
+in a coefficient space (the 20 cubic-surface coefficients, the 10
+plane-cubic coefficients, or an affine image of family parameters), so
+the tracker below handles one batched predictor/corrector loop for a
+system whose residual and Jacobian are supplied by a callback.
+``SegmentSystem`` carries a leg of such segments: its coefficients and
+the same polyline of third-derivative tensors, the one formulation of a
+cubic restricted to a linear space that both chart systems contract: the
+lines by polarization along each line, the flexes at each point.  The
+predictor is classical 4th-order
 Runge-Kutta on the Davidenko equation; the corrector (``_newton``) is at
 most four Newton iterations, which along the path accept by contraction
 with no extra residual evaluation and reject a poorly contracting step at
@@ -24,29 +25,31 @@ differently: the step cap (0.2 for solves, 1.0 for loops), the step
 floor below which tracking fails (1e-14, or 1e-11 in the puncture-scan
 walker) and the collision tolerance.
 
-A loop is a polyline of such segments, tracked with one step controller:
-its ``TrackTelemetry`` carries the controller's step in coefficient
-distance, and only the controller changes it.  An accepted step raises it
-to at least ``GROW`` times the step taken, a rejected attempt sets it to
-``SHRINK`` times the step attempted, and cutting an attempt at the
-segment end or at ``h_max`` never lowers it.  Each segment starts from
-that step rescaled to its own length and capped at ``h_max``; inside a
-segment the step in t follows the same two factors, so a one-segment path
-never reads the carried step.  Only the last segment of a loop ends in a
-Newton polish.
+A loop is a sequence of legs, tracked with one step controller.  A leg
+is one straight segment, or several (a petal's or a lasso's circle) that
+the controller crosses without stopping at their waypoints, each step
+capped at the leg's ``step_cap``.  The loop's ``TrackTelemetry`` carries
+the controller's step in coefficient distance, and only the controller
+changes it.  An accepted step raises it to at least ``GROW`` times the
+step taken, a rejected attempt sets it to ``SHRINK`` times the step
+attempted, and cutting an attempt at the leg end or at its cap never
+lowers it.  Each leg starts from that step rescaled to its own length and
+capped; inside a leg the step in t follows the same two factors, so a
+one-segment path never reads the carried step.  Only the last leg of a
+loop ends in a Newton polish.
 
 :func:`step_paths` is the one stepping routine.  It takes one step
 attempt for several paths (a ``Path`` each: a lane) as one batch: the
-lanes' systems and states are stacked once along a leading lane axis,
-and each Runge-Kutta stage and each Newton iteration is one stacked
+lanes' systems, each leg cut to the segments that its step attempt
+meets, and their states are stacked once along a leading lane axis, and
+each Runge-Kutta stage and each Newton iteration is one stacked
 evaluation of only what it reads (J and dR/dt for a stage, R and J for
 an iteration).  A lane leaves the stack when its solve is singular, its
 corrector accepts or its path-jump guard rejects.  Every lane keeps its
-own segment, t, step, first stage, Newton acceptance and telemetry, and
+own leg, t, step, first stage, Newton acceptance and telemetry, and
 computes bit for bit what it computes alone; :func:`track_segment` is
-the one-lane case.  A campaign steps at most ``LANE_SHEETS`` sheets
-together: 4 line loops, or up to 10 flex loops, the most that its stop
-rule lets start at once.
+the one-lane case.  A stacked call costs mostly per call, not per lane,
+so a campaign steps every loop that its stop rule lets start together.
 """
 
 from __future__ import annotations
@@ -230,11 +233,6 @@ MAX_NEWTON = 4
 H_INIT = 0.05
 GROW = 1.7
 SHRINK = 0.4
-# sheets a campaign steps together at most: 4 line loops (27 sheets each);
-# 12 flex loops (9 each) would fit, but a campaign's stop rule starts at
-# most 10 (monodromy.PLATEAU) past its last committed loop.  A stacked call
-# costs mostly per call, not per lane.
-LANE_SHEETS = 108
 
 
 @dataclass(frozen=True)
@@ -248,13 +246,13 @@ class TrackOptions:
 
 @dataclass
 class TrackTelemetry:
-    """Counters of one tracked path, and the step it carries between segments.
+    """Counters of one tracked path, and the step it carries between legs.
 
     ``step`` is the step carried in coefficient distance, None before the
     first attempt: an accepted step raises it to at least ``GROW`` times
     the step taken, a rejected attempt sets it to ``SHRINK`` times the
-    step attempted (steps in t times the segment's ``length()``), and a
-    step cut at the segment end or at ``h_max`` does not lower it.
+    step attempted (steps in t times the leg's ``length()``), and a step
+    cut at the leg end or at its cap does not lower it.
     ``min_path_separation`` is the least ``collision_gap`` over the
     accepted steps of a collision-checked path.  ``max_corrector_residual``
     is the largest relative residual (|R| over ``scale``) of an accepted
@@ -273,45 +271,75 @@ class TrackTelemetry:
 
 
 class SegmentSystem:
-    """A chart system along the straight segment c(t) = (1-t) c_from + t c_to
-    of cubic forms in ``space``.
+    """A chart system along a leg: the polyline c(t) of cubic forms in
+    ``space`` through the coefficient points c_0, ..., c_K given to the
+    constructor (K >= 1 segments), on t in [0, 1] by coefficient distance.
 
-    The base class owns the segment: its end points, their difference
-    ``c_diff`` and the coefficients ``coeffs(t)``, and the same segment of
-    the forms' third-derivative tensors: ``a_from``, ``a_to``, ``a_diff``
-    and ``tensor(t)``, all complex128.  A tensor A is 6 T for the
+    Knot t_k is the share of the leg's ``length()`` that lies before c_k,
+    and on segment k (t_k <= t <= t_k+1, width w_k) the position is
+    u = (t - t_k) / w_k and c(t) = (1-u) c_k + u c_k+1.  A one-segment leg
+    has the knots 0 and 1, so u is t.  The leg carries the same polyline
+    of the forms' third-derivative tensors, ``tensor(t)``, and each
+    segment's t-derivative of it, the tensor difference over the width
+    (for one segment the difference itself).  A tensor A is 6 T for the
     symmetric trilinear form T with F(x) = T(x, x, x), so a chart system
     restricts its cubic to a linear space by contracting A: both chart
-    systems read R, J and dR/dt from contractions of ``tensor(t)`` and
-    ``a_diff``.  Subclasses supply the residual R(z,t), the Jacobian dR/dz
-    and the t-derivative dR/dt for a batch of sheets, plus optional
+    systems read R, J and dR/dt from contractions of ``tensor(t)`` and its
+    t-derivative.  A zero-length segment of a longer leg is left out: it
+    has no width.  ``step_cap`` is the largest step in t on the leg (1:
+    none).  Subclasses supply the residual R(z,t), the Jacobian dR/dz and
+    the t-derivative dR/dt for a batch of sheets, plus optional
     housekeeping hooks; this is the interface that :func:`step_paths`
     consumes.
 
     ``stack`` joins one-lane systems into one with a leading lane axis on
-    every field named in ``LANE_FIELDS``, and ``take`` keeps some of its
-    lanes.  Its state (``stack_states``; indexing a stacked state keeps
-    lanes too), its t and every per-sheet result carry the same axis, and
-    lane l computes bit for bit what the l-th system computes alone.
-    ``length`` and ``normalize`` are one-lane calls.
+    every field named in ``LANE_FIELDS``, padding each lane's segments to
+    the longest (a padded knot is +inf, so no t finds it), and ``take``
+    keeps some of its lanes.  Every lane finds its own segment at its own
+    t by one vectorized knot lookup.  Its state (``stack_states``; indexing
+    a stacked state keeps lanes too), its t and every per-sheet result
+    carry the same axis, and lane l computes bit for bit what the l-th
+    system computes alone.  ``length``, ``window`` and ``normalize`` are
+    one-lane calls.
     """
 
-    space: FormSpace  # the cubic forms of the segment; each subclass sets it
-    LANE_FIELDS = ("c_from", "c_to", "c_diff", "a_from", "a_to", "a_diff")
+    space: FormSpace  # the cubic forms of the leg; each subclass sets it
+    # per segment: (t_k, w_k) and the tensor's t-derivative; per point c_k:
+    # the coefficients and the tensor
+    SEGMENT_FIELDS = ("segments", "a_rates")
+    POINT_FIELDS = ("c_knots", "a_knots")
+    LANE_FIELDS = SEGMENT_FIELDS + POINT_FIELDS
 
-    def __init__(self, c_from: np.ndarray, c_to: np.ndarray):
-        self.c_from = np.asarray(c_from, dtype=complex)
-        self.c_to = np.asarray(c_to, dtype=complex)
-        self.c_diff = self.c_to - self.c_from
-        self.a_from = self.space.third_derivative_tensor(self.c_from)
-        self.a_to = self.space.third_derivative_tensor(self.c_to)
-        self.a_diff = self.a_to - self.a_from
+    def __init__(self, *points: np.ndarray, step_cap: float = 1.0):
+        c = np.array(points, dtype=complex)
+        if len(c) > 2:  # a zero-length segment of a longer leg has no width
+            moving = np.abs(np.diff(c, axis=0)).max(axis=1) > 0
+            c = c[np.concatenate([[True], moving])] if moving.any() else c[[0, -1]]
+        self.c_knots, self.step_cap = c, step_cap
+        self.a_knots = np.array([self.space.third_derivative_tensor(x) for x in c])
+        self.a_rates = self.a_knots[1:] - self.a_knots[:-1]
+        if len(c) == 2:
+            self.total = float(np.abs(c[1] - c[0]).max())
+            self.segments = np.array([[0.0, 1.0]])
+            return
+        cum = np.cumsum(np.abs(np.diff(c, axis=0)).max(axis=1))
+        self.total = float(cum[-1])
+        knots = np.concatenate([[0.0], cum / cum[-1]])
+        self.segments = np.stack([knots[:-1], np.diff(knots)], axis=1)
+        self.a_rates /= self.segments[:, 1, None, None, None]
 
     @classmethod
     def stack(cls, systems: list["SegmentSystem"]) -> "SegmentSystem":
         out = cls.__new__(cls)
+        sizes = [len(s.segments) for s in systems]
+        size = max(sizes)
         for name in cls.LANE_FIELDS:
-            setattr(out, name, np.array([getattr(s, name) for s in systems]))
+            values = [getattr(s, name) for s in systems]
+            if name in SegmentSystem.LANE_FIELDS and min(sizes) < size:
+                setattr(out, name, _padded(values, size + (name in cls.POINT_FIELDS),
+                                           name == "segments"))
+            else:
+                setattr(out, name, np.array(values))
         return out
 
     def take(self, lanes: np.ndarray) -> "SegmentSystem":
@@ -321,21 +349,77 @@ class SegmentSystem:
             setattr(out, name, getattr(self, name)[lanes])
         return out
 
+    def window(self, t0: float, t1: float) -> "SegmentSystem":
+        """The leg cut to the segments that meet [t0, t1], at least two of a
+        longer leg, so that one segment always spans [0, 1]: at every t in
+        [t0, t1] it computes what the whole leg computes, bit for bit."""
+        n = len(self.segments)
+        if n == 1:
+            return self
+        k0, k1 = np.searchsorted(self.segments[:, 0], [t0, t1], side="right") - 1
+        k0 = min(k0, n - 2)
+        k1 = max(k1, k0 + 1)
+        out = object.__new__(type(self))
+        vars(out).update(vars(self))
+        vars(out).pop("_kept", None)
+        for name in self.SEGMENT_FIELDS:
+            setattr(out, name, getattr(self, name)[k0:k1 + 1])
+        for name in self.POINT_FIELDS:
+            setattr(out, name, getattr(self, name)[k0:k1 + 2])
+        return out
+
     @staticmethod
     def stack_states(states: list) -> object:
         return np.array(states)
 
-    def coeffs(self, t) -> np.ndarray:
-        t = np.asarray(t)[..., None]
-        return (1 - t) * self.c_from + t * self.c_to
+    def _at(self, t, name: str) -> np.ndarray:
+        """For a system with a lane of several segments: field ``name``
+        ("c_knots" or "a_knots") interpolated at t, or with "a_rates" the
+        tensor's t-derivative there, per lane.
 
-    def tensor(self, t) -> np.ndarray:
-        t = np.asarray(t)[..., None, None, None]
-        return (1 - t) * self.a_from + t * self.a_to
+        Each lane's segment k is the number of its inner knots at or below
+        t.  The values at one t are kept, read-only, for the next call at
+        the same t: the stages and Newton iterations of a step share their t.
+        """
+        t = np.asarray(t, dtype=float)
+        lanes = (slice(None),) * (self.segments.ndim - 2)
+        key = t.tobytes()
+        kept = vars(self).get("_kept")
+        if kept is None or kept[0] != key:
+            k = (self.segments[..., 1:, 0] <= t[..., None]).sum(axis=-1)
+            segment = _pick(self.segments, k, 1)[lanes + (0,)]
+            kept = self._kept = (key, k, (t - segment[..., 0]) / segment[..., 1], {})
+        _, k, u, values = kept
+        if name not in values:
+            if name == "a_rates":
+                value = _pick(self.a_rates, k, 1)[lanes + (0,)]
+            else:
+                pair = _pick(getattr(self, name), k, 2)
+                p0, p1 = pair[lanes + (0,)], pair[lanes + (1,)]
+                w = u.reshape(u.shape + (1,) * (p0.ndim - u.ndim))
+                value = (1 - w) * p0 + w * p1
+            value.setflags(write=False)
+            values[name] = value
+        return values[name]
+
+    def coeffs(self, t) -> np.ndarray:
+        if self.segments.shape[-2] > 1:
+            return self._at(t, "c_knots")
+        t = np.asarray(t)[..., None]  # one segment per lane: u is t
+        return (1 - t) * self.c_knots[..., 0, :] + t * self.c_knots[..., 1, :]
+
+    def tensor(self, t, rate: bool = False):
+        """A(t); with ``rate`` the pair (A(t), dA/dt)."""
+        if self.segments.shape[-2] > 1:
+            a = self._at(t, "a_knots")
+            return (a, self._at(t, "a_rates")) if rate else a
+        u = np.asarray(t)[..., None, None, None]  # one segment per lane: u is t
+        a = (1 - u) * self.a_knots[..., 0, :, :, :] + u * self.a_knots[..., 1, :, :, :]
+        return (a, self.a_rates[..., 0, :, :, :]) if rate else a
 
     def length(self) -> float:
-        """Coefficient distance covered by the segment (max-norm)."""
-        return float(np.abs(self.c_diff).max())
+        """Coefficient distance covered by the leg (max-norm, summed over segments)."""
+        return self.total
 
     def residual(self, state, t) -> np.ndarray:
         """R alone, with no Jacobian: bit for bit the R of ``res_jac_dt``."""
@@ -371,14 +455,34 @@ class SegmentSystem:
         return np.inf
 
 
-class Path:
-    """One lane: sheets continued along consecutive segments with one step controller.
+def _pick(field: np.ndarray, k: np.ndarray, count: int) -> np.ndarray:
+    """Entries k to k + count - 1 of each lane's per-segment or per-point
+    ``field`` (no lane axis, or one)."""
+    if k.ndim == 0:
+        return field[int(k):int(k) + count]
+    return field[np.arange(len(k))[:, None], k[:, None] + np.arange(count)]
 
-    The telemetry's ``step`` carries the controller's step from each
-    segment to the next, and ``polish`` asks for the Newton polish at the
-    end of the last segment.  :func:`step_paths` advances the path; once
-    ``done``, ``state`` holds the end sheets, or ``error`` the exception
-    that stopped the path.
+
+def _padded(values: list[np.ndarray], size: int, knots: bool) -> np.ndarray:
+    """The lanes' ``values`` stacked, each padded along its first axis to
+    ``size`` entries with copies of its last entry; padded knots are +inf."""
+    out = np.empty((len(values), size) + values[0].shape[1:], dtype=values[0].dtype)
+    for row, v in zip(out, values):
+        row[:len(v)] = v
+        row[len(v):] = v[-1]
+        if knots:
+            row[len(v):, 0] = np.inf
+    return out
+
+
+class Path:
+    """One lane: sheets continued along consecutive legs with one step controller.
+
+    The telemetry's ``step`` carries the controller's step from each leg
+    to the next, and ``polish`` asks for the Newton polish at the end of
+    the last leg.  :func:`step_paths` advances the path; once ``done``,
+    ``state`` holds the end sheets, or ``error`` the exception that
+    stopped the path.
     """
 
     def __init__(self, systems: list[SegmentSystem], state, opts: TrackOptions | None = None,
@@ -390,24 +494,26 @@ class Path:
         self.polish = polish
         self.error: Exception | None = None
         self.done = not self.systems
-        self.segment = -1
-        self.t = 1.0  # t on the current segment; 1 once it has ended
+        self.leg = -1
+        self.t = 1.0  # t on the current leg; 1 once it has ended
         self.length = 0.0
+        self.cap = self.opts.h_max  # the step cap on the current leg
         self.proposal = H_INIT
         self.k1 = None  # first RK4 stage at (state, t), kept across rejections
 
     @property
     def system(self) -> SegmentSystem:
-        return self.systems[self.segment]
+        return self.systems[self.leg]
 
-    def _start_segment(self) -> None:
-        self.segment += 1
+    def _start_leg(self) -> None:
+        self.leg += 1
         self.length = self.system.length()
+        self.cap = min(self.opts.h_max, self.system.step_cap)
         step = self.telemetry.step
         if step is None or self.length == 0:
             self.proposal = H_INIT
         else:
-            self.proposal = min(step / self.length, self.opts.h_max)
+            self.proposal = min(step / self.length, self.cap)
         self.t = 0.0 if self.length > 0 else 1.0
         self.k1 = None
 
@@ -416,9 +522,10 @@ class Path:
         self.done = True
 
 
-def _stack(paths: list[Path]):
-    """The stacked system of these paths' current segments, and their stacked state."""
-    systems = [p.system for p in paths]
+def _stack(paths: list[Path], ends: list[float]):
+    """The stacked system of these paths' current legs, each cut to the
+    segments between its t and its end in ``ends``, and their stacked state."""
+    systems = [p.system.window(p.t, end) for p, end in zip(paths, ends)]
     system = type(systems[0]).stack(systems)
     return system, system.stack_states([p.state for p in paths])
 
@@ -528,11 +635,12 @@ def _note_residual(path: Path, rel: np.ndarray) -> None:
 def step_paths(paths: list[Path]) -> None:
     """One step attempt on every unfinished path, as one batch of evaluations.
 
-    A path first moves past its ended segments (a zero-length segment
-    takes no step); one whose last segment has ended takes its final
-    Newton polish and is done.  Every other path attempts one step of
-    ``min(proposal, 1 - t)`` from its own (state, t).  The stepping lanes'
-    states are stacked once: each RK4 stage state and the predictor are
+    A path first moves past its ended legs (a zero-length leg takes no
+    step); one whose last leg has ended takes its final Newton polish and
+    is done.  Every other path attempts one step of ``min(proposal, 1 -
+    t)`` from its own (state, t).  The stepping lanes' legs, each cut to
+    the segments between t and t + h (``SegmentSystem.window``), and
+    their states are stacked once: each RK4 stage state and the predictor are
     one stacked update, each RK4 stage and each Newton iteration one
     stacked evaluation of what it reads.  A lane leaves the stack only
     when its solve is singular, its corrector accepts or its path-jump
@@ -544,8 +652,8 @@ def step_paths(paths: list[Path]) -> None:
     stepping, polishing = [], []
     for p in paths:
         while not p.done and p.t >= 1.0:
-            if p.segment + 1 < len(p.systems):
-                p._start_segment()
+            if p.leg + 1 < len(p.systems):
+                p._start_leg()
             elif p.polish:
                 polishing.append(p)
                 break
@@ -557,9 +665,10 @@ def step_paths(paths: list[Path]) -> None:
         _polish(polishing)
     if not stepping:
         return
-    system, state = _stack(stepping)
+    hs = [min(p.proposal, 1.0 - p.t) for p in stepping]
+    system, state = _stack(stepping, [p.t + h for p, h in zip(stepping, hs)])
     t = np.array([p.t for p in stepping])
-    h = np.minimum([p.proposal for p in stepping], 1.0 - t)
+    h = np.array(hs)
     fresh = np.array([p.k1 is None for p in stepping])
     if fresh.any():
         k1, ok = _davidenko(*_take(fresh, system, state, t))
@@ -588,7 +697,6 @@ def step_paths(paths: list[Path]) -> None:
                                   (lane_h / 6.0)[:, None, None] * (k1 + 2 * k2 + 2 * k3 + k4))
         ends = dict(zip(lanes.tolist(), _newton([stepping[i] for i in lanes], lane_system,
                                                 pred, lane_t + lane_h)))
-    hs = h.tolist()
     accepted = []
     for i, p in enumerate(stepping):
         end = ends.get(i)
@@ -622,14 +730,14 @@ def step_paths(paths: list[Path]) -> None:
         p = stepping[i]
         if p.done:
             continue
-        p.proposal = min(max(p.proposal, hs[i] * GROW), p.opts.h_max)
+        p.proposal = min(max(p.proposal, hs[i] * GROW), p.cap)
         p.telemetry.step = max(p.telemetry.step or 0.0, hs[i] * GROW * p.length)
 
 
 def _polish(paths: list[Path]) -> None:
     """The final Newton polish at t=1 (``_newton`` with ``polish``) and the
     conditioning at the end point; a path that it cannot polish fails."""
-    system, state = _stack(paths)
+    system, state = _stack(paths, [1.0] * len(paths))
     good = []
     for p, end in zip(paths, _newton(paths, system, state, np.ones(len(paths)), polish=True)):
         if end is None:
@@ -639,7 +747,7 @@ def _polish(paths: list[Path]) -> None:
             p.done = True
             good.append(p)
     if good:
-        system, state = _stack(good)
+        system, state = _stack(good, [1.0] * len(good))
         _, j, _ = system.res_jac_dt(state, np.ones(len(good)), reads="r")
         for p, conds in zip(good, np.linalg.cond(j)):
             p.telemetry.max_condition = max(p.telemetry.max_condition, float(np.max(conds)))
@@ -647,21 +755,22 @@ def _polish(paths: list[Path]) -> None:
 
 def track_segment(system: SegmentSystem, state, opts: TrackOptions | None = None,
                   telemetry: TrackTelemetry | None = None, polish: bool = True):
-    """Track all sheets of a segment from t=0 to t=1: one lane of :func:`step_paths`.
+    """Track all sheets of a leg (a segment, or several) from t=0 to t=1:
+    one lane of :func:`step_paths`.
 
     The sheets share one adaptive step: a corrector failure on any sheet
     shrinks the step for all of them.  A fresh telemetry starts the step
-    at ``H_INIT``; one that has tracked a segment before starts it
-    from its carried ``step``, rescaled to this segment's length and
-    capped at ``opts.h_max``.  The last step is cut to end at t=1.
-    Neither that cut nor the cap lowers the carried step: only an accepted
-    step (raising it to at least ``GROW`` times the step taken) or a
-    rejected attempt (``SHRINK`` times the step attempted) changes it, so
-    a segment shorter than the step does not shrink the step that the
-    next segment starts from.  A zero-length segment takes no step.
+    at ``H_INIT``; one that has tracked a leg before starts it from its
+    carried ``step``, rescaled to this leg's length and capped at
+    ``opts.h_max`` and the leg's ``step_cap``.  The last step is cut to
+    end at t=1.  Neither that cut nor the cap lowers the carried step:
+    only an accepted step (raising it to at least ``GROW`` times the step
+    taken) or a rejected attempt (``SHRINK`` times the step attempted)
+    changes it, so a leg shorter than the step does not shrink the step
+    that the next leg starts from.  A zero-length leg takes no step.
     With ``polish=False`` the final Newton polish at t=1 and the
-    conditioning estimate are skipped, for a segment that another segment
-    of the same path follows.  Raises PathTrackingError when the step
+    conditioning estimate are skipped, for a leg that another leg of the
+    same path follows.  Raises PathTrackingError when the step
     underflows and SheetCollisionError when two sheets merge.  A rejected
     attempt retries from the same (state, t), so it reuses its first
     Runge-Kutta stage; only an accepted step (or a failed stage) makes the

@@ -4,16 +4,19 @@ Loops are waypoint polylines in a family's parameter space; consecutive
 waypoints are joined by straight segments (the family coefficient maps are
 affine, so these are straight segments in coefficient space too, and the
 homotopy class of the polyline is exactly what gets tracked).  Each loop
-is tracked with one step controller.  Twisted loops end at a parameter
-point whose surface is identified with the base surface through a
-projective matrix; the identification transports the tracked endpoint
-fiber back to the base fiber.
+is tracked with one step controller, leg by leg: a leg is one segment,
+or the whole circle of a petal or a lasso (an arc leg), whose waypoints
+the controller crosses without stopping, at most ``ARC_STEP`` of the
+circle per step.  Twisted loops end at a parameter point whose surface is
+identified with the base surface through a projective matrix; the
+identification transports the tracked endpoint fiber back to the base
+fiber.
 
 A line loop, plain or twisted, is set up by :func:`loop_run` as a
-:class:`LoopRun`: its segment systems, its start sheets and the step that
+:class:`LoopRun`: its leg systems, its start sheets and the step that
 reads the permutation off the end sheets.  ``track_loop`` and
 ``track_twisted_loop`` track one run alone, one ``track_segment`` per
-segment; a campaign tracks several runs at once as lanes of
+leg; a campaign tracks several runs at once as lanes of
 ``numeric.step_paths`` (see ``monodromy``).  Both give the same
 permutation and telemetry bit for bit.
 """
@@ -43,13 +46,21 @@ class LoopError(RuntimeError):
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """A closed polyline in parameter space."""
+    """A closed polyline in parameter space, tracked leg by leg.
+
+    ``legs`` gives the number of segments in each leg, in order (empty:
+    one leg per segment).  A leg of several segments is a circle, an arc
+    leg: the step controller crosses its waypoints without stopping, and a
+    step covers at most ``ARC_STEP`` of it.  The legs change only how the
+    polyline is stepped, not the polyline.
+    """
 
     family: FamilySpec
     basepoint: np.ndarray
     waypoints: tuple[np.ndarray, ...]
     kind: str = "plain"  # "plain" | "petal" | "random_polygon"
     detail: dict = field(default_factory=dict)
+    legs: tuple[int, ...] = ()
 
     def __post_init__(self):
         wps = tuple(np.atleast_1d(np.asarray(w, dtype=complex)) for w in self.waypoints)
@@ -60,6 +71,8 @@ class LoopSpec:
             raise LoopError("a loop needs at least two waypoints")
         if not np.allclose(wps[0], self.basepoint) or not np.allclose(wps[-1], self.basepoint):
             raise LoopError("loop must start and end at the basepoint")
+        if self.legs and (sum(self.legs) != len(wps) - 1 or min(self.legs) < 1):
+            raise LoopError(f"legs {self.legs} do not split {len(wps) - 1} segments")
 
     def refined(self, factor: int = 2) -> "LoopSpec":
         """The same polyline with each segment subdivided ``factor`` times."""
@@ -69,7 +82,8 @@ class LoopSpec:
                 pts.append(a + (b - a) * (k / factor))
         pts.append(self.waypoints[-1])
         return LoopSpec(family=self.family, basepoint=self.basepoint,
-                        waypoints=tuple(pts), kind=self.kind, detail=dict(self.detail))
+                        waypoints=tuple(pts), kind=self.kind, detail=dict(self.detail),
+                        legs=tuple(factor * n for n in self.legs))
 
     def to_json(self) -> dict:
         return {
@@ -153,13 +167,25 @@ class TrackedPermutation:
         }
 
 
-# every loop, of lines or of flexes: the step is capped only by the segment end
+# every loop, of lines or of flexes: the step is capped only by the leg end,
+# and on an arc leg at an eighth of the turn (8 petal chords, 3 lasso chords)
 LOOP_OPTIONS = TrackOptions(collision_tol=SHEET_COLLISION_TOL, h_max=1.0)
+ARC_STEP = 1 / 8
+
+
+def leg_systems(system: type[SegmentSystem], loop, coeffs: list[np.ndarray]) -> list[SegmentSystem]:
+    """One ``system`` per leg of the loop through these coefficient points,
+    one per segment for a loop without legs; an arc leg is capped at ``ARC_STEP``."""
+    out, at = [], 0
+    for n in getattr(loop, "legs", ()) or (1,) * (len(coeffs) - 1):
+        out.append(system(*coeffs[at:at + n + 1], step_cap=ARC_STEP if n > 1 else 1.0))
+        at += n
+    return out
 
 
 @dataclass
 class LoopRun:
-    """A loop ready to track: segment systems, start sheets, and ``finish``,
+    """A loop ready to track: leg systems, start sheets, and ``finish``,
     which turns the end sheets and the telemetry into the permutation."""
 
     systems: list[SegmentSystem]
@@ -171,9 +197,9 @@ class LoopRun:
         return Path(self.systems, self.state, LOOP_OPTIONS)
 
     def track(self) -> TrackedPermutation:
-        """Track the loop alone, one ``track_segment`` per segment: one
-        fresh telemetry carries the step from each segment to the next,
-        and only the last segment ends in a Newton polish."""
+        """Track the loop alone, one ``track_segment`` per leg: one fresh
+        telemetry carries the step from each leg to the next, and only the
+        last leg ends in a Newton polish."""
         state, telemetry = self.state, TrackTelemetry()
         last = len(self.systems) - 1
         for k, system in enumerate(self.systems):
@@ -202,8 +228,8 @@ def _finish(base: ls.SolveReport, labeling: SchlafliLabeling | None, loop,
 
 def loop_run(loop: LoopSpec | TwistedLoopSpec, base: ls.SolveReport,
              labeling: SchlafliLabeling | None = None) -> LoopRun:
-    """The base fiber's 27 sheets along the loop's waypoint polyline, with
-    the read-off of the permutation.  A twisted loop's identification g,
+    """The base fiber's 27 sheets along the loop's waypoint polyline, leg
+    by leg, with the read-off of the permutation.  A twisted loop's identification g,
     with evaluator(image) = evaluator(base) o g up to scalar, carries its
     end lines back to the base surface; raises LoopError when g misses
     that identity by ``IDENTIFICATION_TOL`` or more."""
@@ -214,8 +240,7 @@ def loop_run(loop: LoopSpec | TwistedLoopSpec, base: ls.SolveReport,
             raise LoopError(f"identification residual {resid:.3g} above tolerance")
         identification = loop.identification.entries
     coeffs = [loop.family.raw_coeffs(w) for w in loop.waypoints]
-    systems = [ls.LineSystem(a, b) for a, b in zip(coeffs[:-1], coeffs[1:])]
-    return LoopRun(systems, ls.sheets_from_lines(base.lines),
+    return LoopRun(leg_systems(ls.LineSystem, loop, coeffs), ls.sheets_from_lines(base.lines),
                    partial(_finish, base, labeling, loop, identification))
 
 
@@ -248,6 +273,7 @@ def petal_loops(family: FamilySpec, basepoint: complex,
                 punctures: list[complex] | None = None,
                 radius: float | None = None) -> list[LoopSpec]:
     """One petal per puncture: out, once around in 64 segments, and back.
+    The circle is one arc leg.
 
     Default radius is 1e-2 times the distance to the nearest other
     puncture (or to the basepoint when there is only one).  Petals are
@@ -285,7 +311,7 @@ def petal_loops(family: FamilySpec, basepoint: complex,
         pts.append(np.array([b]))
         loop = LoopSpec(family=family, basepoint=np.array([b]),
                         waypoints=tuple(pts), kind="petal",
-                        detail={"puncture": p, "radius": r})
+                        detail={"puncture": p, "radius": r}, legs=(1, 64, 1))
         _check_clearance(loop, punctures, min(radii))
         loops.append(loop)
     return loops
@@ -334,8 +360,10 @@ def random_lasso_loop(family: FamilySpec, basepoint, seed: int) -> LoopSpec:
     Random polygons rarely link a low-degree branch curve (a real
     codimension-2 set), so campaigns also throw lassos: go out along a
     random complex line through the basepoint, circle a random center
-    once in 24 segments, and come back.  Whenever the enclosed disc meets
-    the branch locus, the lasso picks up its meridians.
+    once in 24 segments (one arc leg), and come back.  Whenever the
+    enclosed disc meets the branch locus, the lasso picks up its meridians.
+    The disc is the 24-gon's, not the circle's: a branch point between the
+    two would be circled by one and not by the other.
     """
     rng = np.random.default_rng(seed)
     bp = np.atleast_1d(np.asarray(basepoint, dtype=complex))
@@ -353,4 +381,5 @@ def random_lasso_loop(family: FamilySpec, basepoint, seed: int) -> LoopSpec:
     pts.append(bp + entry * direction)
     pts.append(bp)
     return LoopSpec(family=family, basepoint=bp, waypoints=tuple(pts),
-                    kind="random_polygon", detail={"seed": seed, "shape": "lasso"})
+                    kind="random_polygon", detail={"seed": seed, "shape": "lasso"},
+                    legs=(1, 24, 1))

@@ -132,11 +132,16 @@ def _points_oracle(state):
     return L._chart_gather(state.charts, rows, _POINT_GATHER)
 
 
+def _c_diff(system):
+    """c_to - c_from of a one-segment system."""
+    return system.c_knots[..., 1, :] - system.c_knots[..., 0, :]
+
+
 def _res_jac_dt_oracle(system, state, t, reads=None):
     mono, gmono = _monomial_tables_oracle(L.SPACE, _points_oracle(state))
     coeffs = system.coeffs(t)
     r = None if reads == "rt" else _matvec(mono, coeffs) @ _VINV.T
-    rt = None if reads == "r" else _matvec(mono, system.c_diff) @ _VINV.T
+    rt = None if reads == "r" else _matvec(mono, _c_diff(system)) @ _VINV.T
     lanes, n = gmono.shape[:-3], gmono.shape[-3]
     cols = gmono.reshape(lanes + (1, 4 * n, 10)) @ (_GRAD_OPS @ coeffs[..., None, :, None])
     grads = np.moveaxis(cols.reshape(lanes + (4, n, 4)), -3, -1)
@@ -200,9 +205,10 @@ def _flex_res_jac_dt_oracle(system, state, t, reads=None):
         a_k = np.ascontiguousarray(np.broadcast_to(a[..., None, :, :, k], adj.shape))
         j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k)
     if reads != "r":
-        mdot = np.einsum("...ijk,...nk->...nij", system.a_diff, p)
+        a_diff = system.a_knots[..., 1, :, :, :] - system.a_knots[..., 0, :, :, :]
+        mdot = np.einsum("...ijk,...nk->...nij", a_diff, p)
         ht = np.einsum("...nij,...nji->...n", adj, mdot)
-        rt = np.stack([_matvec(mono, system.c_diff), ht], axis=-1)
+        rt = np.stack([_matvec(mono, _c_diff(system)), ht], axis=-1)
     return r, j, rt
 
 

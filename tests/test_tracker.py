@@ -1,5 +1,6 @@
 """Loop tracking: identity, inverses, composition, homotopy invariance."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -54,6 +55,19 @@ def test_repeated_waypoint_is_a_zero_length_segment(s4_base):
     tp = T.track_loop(loop, base, labeling)
     assert tp.perm.is_identity()
     assert tp.steps > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_length_segment_inside_a_leg_takes_no_step(s4_base):
+    # the repeated waypoint inside one arc leg has no width: it is left out
+    fam, bp, base, labeling = s4_base
+    mid = bp + 0.3j
+    loop = T.LoopSpec(family=fam, basepoint=bp, waypoints=(bp, mid, mid, bp), legs=(3,))
+    (leg,) = T.loop_run(loop, base, labeling).systems
+    chords = T.loop_run(dataclasses.replace(loop, legs=()), base, labeling).systems
+    assert len(leg.segments) == 2 and leg.length() == sum(s.length() for s in chords) > 0
+    tp = T.track_loop(loop, base, labeling)
+    assert tp.perm.is_identity() and tp.steps > 0
 
 
 def test_s4_petal_is_involution(s4_base):
@@ -201,6 +215,31 @@ def test_loop_builders_make_no_degenerate_segment(fam):
         assert min(lengths) >= 1e-9 * max(lengths), (loop.kind, loop.detail)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_an_arc_leg_gives_the_permutation_of_its_segments(seed):
+    # the circle of a petal or a lasso stepped as one leg: the same
+    # permutation as one leg per chord, in fewer steps
+    s4, s3c2 = F.s4_family(), F.s3c2_family()
+    runs = []
+    for fam in (s4, s3c2):
+        bp = M.default_basepoint(fam.name, seed)
+        base = L.solve_lines(fam.form_at(bp), seed=seed)
+        labeling = S.label_lines(L.incidence_graph(base.lines))
+        loops = T.petal_loops(fam, bp[0]) if fam is s4 else [T.random_lasso_loop(fam, bp, seed)]
+        runs += [(T.track_loop, loop, (base, labeling)) for loop in loops]
+    rng = np.random.default_rng(seed)
+    form = FX.PlaneCubicForm(rng.normal(size=10) + 1j * rng.normal(size=10))
+    flex = FX.flexp9_family()
+    lasso = T.random_lasso_loop(flex, form.coefficients, seed)
+    runs.append((FX.track_flex_loop, lasso, (FX.solve_flexes(form, seed=seed), seed)))
+    assert [loop.legs for _, loop, _ in runs] == [(1, 64, 1)] * 2 + [(1, 24, 1)] * 2
+    for track, loop, args in runs:
+        arc, chords = track(loop, *args), track(dataclasses.replace(loop, legs=()), *args)
+        assert arc.perm == chords.perm, (loop.kind, loop.detail)
+        assert arc.steps < chords.steps
+        assert arc.to_json()["loop"] == chords.to_json()["loop"]
+
+
 def _segment_steps(fam, base, waypoints):
     """Track the polyline one segment at a time with one telemetry, as a
     loop is: each segment's (steps taken, carried step after it)."""
@@ -238,17 +277,17 @@ def test_s3c2_petals_at_cubic_roots():
         assert abs(4 * root**3 + 27) < 1e-9
 
 
-def _line_system_and_state(rng):
-    c_from, c_to = (rng.normal(size=20) + 1j * rng.normal(size=20) for _ in range(2))
+def _line_system_and_state(rng, segments=1):
+    points = [rng.normal(size=20) + 1j * rng.normal(size=20) for _ in range(segments + 1)]
     state = L.SheetState(charts=rng.integers(0, len(L.CHART_FREE), size=27),
                          params=rng.normal(size=(27, 4)) + 1j * rng.normal(size=(27, 4)))
-    return L.LineSystem(c_from, c_to), state
+    return L.LineSystem(*points), state
 
 
-def _flex_system_and_state(rng):
-    c_from, c_to = (rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(2))
+def _flex_system_and_state(rng, segments=1):
+    points = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(segments + 1)]
     state = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
-    return FX.FlexSystem(c_from, c_to), state
+    return FX.FlexSystem(*points), state
 
 
 @pytest.mark.parametrize("make", [_line_system_and_state, _flex_system_and_state],
@@ -312,24 +351,31 @@ def _outcome(x):
 @pytest.mark.parametrize("make", [_line_system_and_state, _flex_system_and_state],
                          ids=["LineSystem", "FlexSystem"])
 def test_stacked_lanes_compute_what_each_lane_computes_alone(make):
+    # lanes of one segment and legs of 5 and 9, at t inside a segment and
+    # on a knot; each also cut to the window of its t
     rng = np.random.default_rng(5)
-    lanes = [make(rng) for _ in range(3)]
+    lanes = [make(rng, segments) for segments in (1, 5, 1, 9)]
     systems = [s for s, _ in lanes]
-    stacked = type(systems[0]).stack(systems)
-    state = stacked.stack_states([st for _, st in lanes])
-    ts = rng.uniform(0, 1, size=3)
-    together = stacked.res_jac_dt(state, ts) + (stacked.residual(state, ts),
-                                                 stacked.scale(state, ts),
-                                                 stacked.collision_gap(state))
-    for lane, ((system, st), t) in enumerate(zip(lanes, ts)):
-        alone = system.res_jac_dt(st, float(t)) + (system.residual(st, float(t)),
-                                                   system.scale(st, float(t)),
-                                                   system.collision_gap(st))
-        for a, b in zip(alone, together):
-            assert np.asarray(a).tobytes() == np.asarray(b[lane]).tobytes()
+    ts = rng.uniform(0, 1, size=len(lanes))
+    ts[3] = systems[3].segments[4, 0]
+    windows = [s.window(t, t) for s, t in zip(systems, ts)]
+    assert [len(w.segments) for w in windows] == [1, 2, 1, 2]
+    for stack in (systems, windows):
+        stacked = type(systems[0]).stack(stack)
+        state = stacked.stack_states([st for _, st in lanes])
+        together = stacked.res_jac_dt(state, ts) + (stacked.residual(state, ts),
+                                                     stacked.scale(state, ts),
+                                                     stacked.collision_gap(state))
+        for lane, ((system, st), t) in enumerate(zip(lanes, ts)):
+            alone = system.res_jac_dt(st, float(t)) + (system.residual(st, float(t)),
+                                                       system.scale(st, float(t)),
+                                                       system.collision_gap(st))
+            for a, b in zip(alone, together):
+                assert np.asarray(a).tobytes() == np.asarray(b[lane]).tobytes()
 
 
 def test_line_loops_in_one_batch_match_each_loop_alone(s4_base):
+    # one batch of legs of 1, 24 and 64 segments
     fam, bp, base, labeling = s4_base
     fam2 = F.s3c2_family()
     bp2 = np.array([0.5 + 0.4j])
@@ -342,6 +388,7 @@ def test_line_loops_in_one_batch_match_each_loop_alone(s4_base):
              (T.petal_loops(fam2, bp2[0])[1], base2, labeling2)]
     runs = [T.loop_run(*args) for args in loops]
     runs.append(T.loop_run(twist, base2, labeling2))
+    assert {len(leg.segments) for run in runs for leg in run.systems} == {1, 24, 64}
     alone = [T.track_loop(*args) for args in loops]
     alone.append(T.track_twisted_loop(twist, base2, labeling2))
     together = _track_together(runs)
@@ -384,7 +431,7 @@ def test_a_failing_lane_fails_alone(flex_base):
     # attempt of that lane is rejected (LinAlgError from the stacked solve)
     # until the step underflows
     zero = np.zeros(10, dtype=complex)
-    singular = T.LoopRun([FX.FlexSystem(zero, good[0].systems[0].c_to)], good[0].state,
+    singular = T.LoopRun([FX.FlexSystem(zero, good[0].systems[0].c_knots[-1])], good[0].state,
                          good[0].finish)
     # two equal sheets collide at the first accepted step
     twin = good[1].state.copy()
@@ -397,8 +444,8 @@ def test_a_failing_lane_fails_alone(flex_base):
     assert [_outcome(x) for x in _track_together(runs)] == alone
     # and through a campaign's accumulator, with its failure strings
     stream = [(f"loop{k}", (lambda r=run: r)) for k, run in enumerate(runs)]
-    tracked, failures, plateau, chain = M._accumulate(9, iter(stream), budget=len(runs),
-                                                      mandatory=0)
+    tracked, failures, plateau, chain, *_ = M._accumulate(9, iter(stream), budget=len(runs),
+                                                          mandatory=0)
     assert [json.dumps(tp.to_json()) for tp in tracked] == [alone[0], alone[2], alone[4]]
     assert failures == [f"loop1: {alone[1]}", f"loop3: {alone[3]}"]
     assert not plateau
@@ -414,7 +461,7 @@ class _Flaky(FX.FlexSystem):
     seen = 0
 
     def __init__(self, system, flaky):
-        super().__init__(system.c_from, system.c_to)
+        vars(self).update(vars(system))
         self.flaky = np.asarray(flaky)
 
     def res_jac_dt(self, state, t, reads=None):
@@ -460,7 +507,7 @@ class _Sluggish(FX.FlexSystem):
     newton: list[bool] = []
 
     def __init__(self, system, factor):
-        super().__init__(system.c_from, system.c_to)
+        vars(self).update(vars(system))
         self.factor = np.asarray(factor, dtype=float)
 
     def res_jac_dt(self, state, t, reads=None):
