@@ -19,11 +19,10 @@ relative 1e-12, or to the noise floor, and checks the residual.
 A rejected attempt retries from the same point and reuses its first
 Runge-Kutta stage, so a rejection costs one chart-system evaluation
 less.  A fresh path starts at step 0.05; a rejected step shrinks by the
-factor 0.4, an accepted one grows by 1.7.  These are the module
-constants below; ``TrackOptions`` holds only what callers set
-differently: the step cap (0.2 for solves, 1.0 for loops), the step
-floor below which tracking fails (1e-14, or 1e-11 in the puncture-scan
-walker) and the collision tolerance.
+factor 0.4, an accepted one grows by 1.7, and tracking fails below the
+step 1e-14.  These are the module constants below; ``TrackOptions``
+holds only what callers set differently: the step cap (0.2 for solves,
+1.0 for loops) and the collision tolerance.
 
 A loop is a sequence of legs, tracked with one step controller.  A leg
 is one straight segment, or several (a petal's or a lasso's circle) that
@@ -231,15 +230,15 @@ FLOOR_THETA = 0.5  # final polish: theta at least this, at a step ...
 FLOOR_TOL = 1e-9  # ... below this, is the noise floor
 MAX_NEWTON = 4
 H_INIT = 0.05
+H_MIN = 1e-14  # a step in t below this fails the path
 GROW = 1.7
 SHRINK = 0.4
 
 
 @dataclass(frozen=True)
 class TrackOptions:
-    """Step floor and cap, and the sheet collision tolerance (None: unchecked)."""
+    """Step cap, and the sheet collision tolerance (None: unchecked)."""
 
-    h_min: float = 1e-14
     h_max: float = 0.2
     collision_tol: float | None = None
 
@@ -704,7 +703,7 @@ def step_paths(paths: list[Path]) -> None:
             p.telemetry.rejected += 1
             p.proposal = hs[i] * SHRINK
             p.telemetry.step = p.proposal * p.length
-            if p.proposal < p.opts.h_min:
+            if p.proposal < H_MIN:
                 p._fail(PathTrackingError(f"step size underflow at t={p.t:.6g}"))
             continue
         try:

@@ -1,4 +1,5 @@
-"""Eckardt points, symmetry actions on computed lines, and puncture scans.
+"""Eckardt points, symmetry actions on computed lines, and the singular
+members of a pencil.
 
 An Eckardt point is a common point of three of the 27 lines.  Detection
 walks the triangles of the incidence graph and tests whether the three
@@ -9,23 +10,27 @@ Each Eckardt point carries a unique involution of P^3 fixing a plane and
 the point and preserving the surface.  It is reconstructed exactly from
 the polar quadric of the point: the fixed plane is the totally isotropic
 3-space of that rank-<=2 quadric which avoids the point.
+
+The singular members of a pencil of surfaces or plane cubics are found by
+linear algebra (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from . import linesolver as ls
-from .forms import CubicForm, FamilySpec, FormError, ProjectiveMatrix, SPACE
-from .numeric import (PathTrackingError, SheetCollisionError, TrackOptions,
-                      TrackTelemetry, track_segment)
+from .forms import CubicForm, FamilySpec, ProjectiveMatrix, SPACE
+from .numeric import form_space, random_unitary
 from .perms import Permutation
 
 ECKARDT_TOL = 1e-8
 SYMMETRY_RESIDUAL_TOL = 1e-10
-REFINE_TOL = 1e-10  # puncture estimates, in the segment parameter
+RANK_GAP = 1e-10  # relative smallest singular value: <= 1.5e-15 at members, >= 8e-7 elsewhere
+SAME_ROOT = 1e-8  # distance over max(1, |s|) within which two eigenvalues are one root
 
 
 class EckardtError(RuntimeError):
@@ -165,182 +170,78 @@ def symmetry_permutation(m: ProjectiveMatrix, lines: list[ls.Line],
 
 
 # ---------------------------------------------------------------------------
-# Puncture scanning along one-parameter segments
+# Singular members of a pencil: the Macaulay matrix pencil
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ScanProbe:
-    t: float
-    min_distance: float  # -1 marks a tracking failure
-    max_condition: float
+@lru_cache(maxsize=None)
+def _macaulay_table(nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer table T, with T @ c the Macaulay matrix in degree nvars + 1 of
+    the gradient quadrics of the cubic c, and the rows of its square part.
 
-
-class _SegmentWalker:
-    """Continues the line set of a 1-parameter family along [0,1].
-
-    Healthy probe states are cached so later probes continue from the
-    nearest solved parameter rather than tracking from the segment start
-    (which would cross any puncture between the start and the probe).
+    Row i * dim(nvars - 1) + r is x^u * dF/dx_i, x^u the r-th monomial of
+    degree nvars - 1.  The square part has one row per monomial m of degree
+    nvars + 1, (m / x_i^2) * dF/dx_i for the first i with x_i^2 | m.
     """
-
-    def __init__(self, family: FamilySpec, start: complex, end: complex,
-                 seed: int = 0):
-        self.family = family
-        self.start = complex(start)
-        self.end = complex(end)
-        base_form = family.form_at([self.start])
-        self.base = ls.solve_lines(base_form, seed=seed)
-        self.opts = TrackOptions(h_min=1e-11)
-        self._cache: dict[float, ls.SheetState] = {
-            0.0: ls.sheets_from_lines(self.base.lines)}
-
-    def param_at(self, t: float) -> complex:
-        return (1 - t) * self.start + t * self.end
-
-    def probe(self, t: float) -> _ScanProbe:
-        """Continue from the nearest cached state; report endpoint separation.
-
-        When continuation fails (e.g. the path from the anchor crosses a
-        puncture), the walker reseeds with a fresh solve at the probe
-        parameter: the Fermat homotopy runs through the 20-coefficient
-        space and generically misses the family's punctures.
-        """
-        anchor = min(self._cache, key=lambda t0: abs(t0 - t))
-        c_from = self.family.raw_coeffs([self.param_at(anchor)])
-        c_to = self.family.raw_coeffs([self.param_at(t)])
-        state = self._cache[anchor]
-        telemetry = TrackTelemetry()
-        try:
-            state, telemetry = track_segment(
-                ls.LineSystem(c_from, c_to), state, self.opts, telemetry)
-        except (PathTrackingError, SheetCollisionError, np.linalg.LinAlgError):
-            state = None
-        if state is None:
-            try:
-                fresh = ls.solve_lines(self.family.form_at([self.param_at(t)]),
-                                       seed=hash((round(t, 14), 17)) & 0xFFFF,
-                                       attempts=2)
-            except (ls.SolveError, FormError):
-                # construction errors at visibly singular parameters count
-                # as degenerate probes too
-                return _ScanProbe(t=t, min_distance=-1.0,
-                                  max_condition=telemetry.max_condition)
-            state = ls.sheets_from_lines(fresh.lines)
-        gap = ls.min_pairwise_distance(ls.sheet_pluckers(state))
-        if gap > 1e-3:
-            self._cache[t] = state
-        return _ScanProbe(t=t, min_distance=gap,
-                          max_condition=telemetry.max_condition)
+    cubic, mult, out = (form_space(nvars, d) for d in (3, nvars - 1, nvars + 1))
+    table = np.zeros((nvars * mult.dim, out.dim, cubic.dim), dtype=np.int64)
+    for i in range(nvars):
+        for r, u in enumerate(mult.monomials):
+            for k, e in enumerate(cubic.monomials):
+                if e[i]:
+                    m = tuple(a + b - (v == i) for v, (a, b) in enumerate(zip(u, e)))
+                    table[i * mult.dim + r, out.index[m], k] = e[i]
+    square = []
+    for m in out.monomials:
+        i = next(v for v in range(nvars) if m[v] >= 2)
+        square.append(i * mult.dim + mult.index[m[:i] + (m[i] - 2,) + m[i + 1:]])
+    return table, np.array(square)
 
 
-def puncture_scan(family: FamilySpec, segment: tuple[complex, complex],
-                  samples: int = 40, seed: int = 0) -> list[complex]:
-    """Parameter values on the segment where the line solve degenerates.
+def _rank_drops(c0: np.ndarray, c1: np.ndarray,
+                frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finite eigenvalues s of the square Macaulay pencil of c0 + s c1,
+    composed with the frame, at which the full matrix drops rank, and the
+    full matrix's singular values there over the largest."""
+    space = form_space(len(frame), 3)
+    table, square = _macaulay_table(len(frame))
+    a, b = (table @ space.compose_matrix(c, frame) for c in (c0, c1))
+    s = scipy.linalg.eigvals(a[square], -b[square])
+    s = s[np.isfinite(s)]
+    rel = np.linalg.svd(a + s[:, None, None] * b, compute_uv=False)
+    rel /= rel[:, :1]
+    drop = rel[:, -1] < RANK_GAP
+    return s[drop], rel[drop]
 
-    Degeneration shows as a dip of the minimal pairwise Plucker distance
-    (two lines colliding), a conditioning spike, or an outright tracking
-    failure.  Candidates are refined to ``REFINE_TOL`` in the segment
-    parameter by bracketed minimization plus square-root-model
-    extrapolation (the separation behaves like sqrt|t - t*| at a simple
-    collision).
+
+def singular_members(family: FamilySpec, point, direction) -> list[tuple[complex, int]]:
+    """Each s at which the member point + s direction is singular, with its
+    node count, ordered by real and then imaginary part.
+
+    A cubic in n variables is singular where its n gradient quadrics have a
+    common zero, that is where their Macaulay matrix in degree n + 1 drops
+    rank, by one per node.  Its square part (56 x 56 for surfaces, 15 x 15
+    for plane cubics) is a pencil A + s B with the singular members among
+    its eigenvalues; an eigenvalue is kept where the full matrix's relative
+    smallest singular value is below ``RANK_GAP``.  Eigenvalues that a
+    singular B scatters from infinity also drop rank, but move with the
+    coordinates: a root must come back, with a rank drop, in a second
+    random unitary frame (both frames from a fixed seed).  The repeated
+    eigenvalues of one member are merged.
     """
-    if family.parameter_dim < 1:
-        raise ValueError("family must have at least one parameter")
-    start, end = complex(segment[0]), complex(segment[1])
-    walker = _SegmentWalker(family, start, end, seed=seed)
-    ts = np.linspace(0.0, 1.0, samples + 1)
-    # the basepoint itself must be regular; probe strictly inside
-    probes = [walker.probe(float(t)) for t in ts]
-    dists = np.array([p.min_distance for p in probes])
-    conds = np.array([p.max_condition for p in probes])
-    healthy = dists[dists > 0]
-    if not len(healthy):
-        raise RuntimeError("no healthy samples on the segment")
-    dip_level = 0.3 * float(np.median(healthy))
-    spike_level = 1e10
-    candidate_spans = []
-    for i in range(1, samples):
-        is_dip = (0 <= dists[i] < dip_level and
-                  dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1])
-        if dists[i] < 0 or is_dip or conds[i] > spike_level:
-            candidate_spans.append((float(ts[i - 1]), float(ts[i + 1])))
-    # merge overlapping spans
-    merged: list[list[float]] = []
-    for lo, hi in candidate_spans:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    out = []
-    for lo, hi in merged:
-        t_star = _refine_dip(walker, lo, hi)
-        if t_star is not None:
-            out.append(walker.param_at(t_star))
-    return out
-
-
-def _refine_dip(walker: _SegmentWalker, lo: float, hi: float) -> float | None:
-    """Golden-section narrowing plus sqrt-model extrapolation of the dip."""
-
-    def d(t: float) -> float:
-        return walker.probe(t).min_distance
-
-    invphi = (np.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
-    m1 = b - invphi * (b - a)
-    m2 = a + invphi * (b - a)
-    d1, d2 = d(m1), d(m2)
-    for _ in range(80):
-        if b - a < REFINE_TOL:
-            break
-        # failures (-1) sort below every healthy value, pulling the
-        # bracket onto the degenerate region
-        if d1 <= d2:
-            b, m2, d2 = m2, m1, d1
-            m1 = b - invphi * (b - a)
-            d1 = d(m1)
-        else:
-            a, m1, d1 = m1, m2, d2
-            m2 = a + invphi * (b - a)
-            d2 = d(m2)
-        if b - a < 1e-5:
-            t_star = _sqrt_model_refine(walker, a, b)
-            if t_star is not None:
-                return t_star
-    t_star = 0.5 * (a + b)
-    probe = walker.probe(max(0.0, min(1.0, t_star + 1e-7)))
-    if probe.min_distance < 0 or probe.min_distance < 1e-2:
-        return t_star
-    return None
-
-
-def _sqrt_model_refine(walker: _SegmentWalker, a: float, b: float) -> float | None:
-    """Fit d ~ C sqrt|t - t*| from one side and iterate the intercept."""
-    h = (b - a)
-    t1, t2 = a - 8 * h, a - 3 * h
-    if t1 < 0:
-        return None
-    d1, d2 = walker.probe(t1).min_distance, walker.probe(t2).min_distance
-    if d1 <= 0 or d2 <= 0 or d1 <= d2:
-        return None
-    t_star = None
-    for _ in range(60):
-        r = (d1 / d2) ** 2
-        t_new = (t1 - r * t2) / (1 - r)
-        if not np.isfinite(t_new):
-            return None
-        if t_star is not None and abs(t_new - t_star) < REFINE_TOL:
-            return float(t_new)
-        t_star = t_new
-        # move the probe pair closer to the estimate, staying on the left
-        t_probe = t_star - max(REFINE_TOL, 0.25 * abs(t_star - t2))
-        d_probe = walker.probe(t_probe).min_distance
-        if d_probe <= 0:
-            # stepped past the puncture; fall back to the last estimate
-            return float(t_star)
-        t1, d1 = t2, d2
-        t2, d2 = t_probe, d_probe
-        if d1 <= d2:
-            return float(t_star)
-    return float(t_star) if t_star is not None else None
+    point = np.asarray(point, dtype=complex)
+    c0 = family.raw_coeffs(point)
+    c1 = family.raw_coeffs(point + np.asarray(direction, dtype=complex)) - c0
+    if not c1.any():
+        raise ValueError("the direction does not move the coefficients")
+    nvars = 4 if len(c0) == 20 else 3
+    rng = np.random.default_rng(0)
+    s1, rel1 = _rank_drops(c0, c1, random_unitary(nvars, rng))
+    s2, _ = _rank_drops(c0, c1, random_unitary(nvars, rng))
+    members: list[tuple[complex, int]] = []
+    for k in np.argsort(rel1[:, -1]):  # the sharpest rank drop speaks for its root
+        s = complex(s1[k])
+        tol = SAME_ROOT * max(1.0, abs(s))
+        if np.any(np.abs(s2 - s) <= tol) and all(abs(s - m) > tol for m, _ in members):
+            members.append((s, int(np.sum(rel1[k] < RANK_GAP))))
+    return sorted(members, key=lambda m: (m[0].real, m[0].imag))

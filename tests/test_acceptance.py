@@ -61,19 +61,20 @@ def test_acceptance_02_schlafli_structure_100_random_cubics():
 
 
 def test_acceptance_03_s4_theorem(claim_results):
-    # puncture_scan confirms the two finite punctures {0, -1/2}
-    cands = SF.puncture_scan(F.s4_family(), (-0.75, 0.25), samples=40, seed=2)
-    found = sorted(c.real for c in cands)
-    scan_ok = (len(cands) == 2
-               and abs(found[0] + 0.5) < 1e-10 and abs(found[1]) < 1e-10
-               and all(abs(c.imag) < 1e-10 for c in cands))
+    # the Macaulay pencil confirms the two finite punctures: 0 with one
+    # node and -1/2, the 4-nodal Cayley cubic
+    members = SF.singular_members(F.s4_family(), [0j], [1.0])
+    scan_ok = (len(members) == 2
+               and all(abs(s - p) < 1e-10 and n == k
+                       for (s, n), (p, k) in zip(members, [(-0.5, 4), (0, 1)])))
+    found = {round(s.real, 10) + 0.0: n for s, n in members}
     coarse = claim(claim_results, "S4-coarse")
     stack = claim(claim_results, "S4-stack")
     seq = stack["detail"]["exact_sequence"]
     ok = (scan_ok and coarse["passed"] and stack["passed"]
           and seq["deck_normal"] and seq["quotient_order"] == 4
           and seq["split"] == "direct_product")
-    verdict(3, ok, f"punctures {found} confirmed; coarse order "
+    verdict(3, ok, f"punctures {found} (nodes) confirmed; coarse order "
                    f"{coarse['detail']['order']} exponent 2; combined 96, "
                    f"quotient 4, direct product")
     assert ok

@@ -1,10 +1,12 @@
-"""Eckardt machinery, symmetry permutations, puncture scans."""
+"""Eckardt machinery, symmetry permutations, singular members of pencils."""
 
 import numpy as np
 import pytest
 
+from cubicmonodromy import flexes as FX
 from cubicmonodromy import forms as F
 from cubicmonodromy import linesolver as L
+from cubicmonodromy import monodromy as M
 from cubicmonodromy import perms as P
 from cubicmonodromy import schlafli as S
 from cubicmonodromy import surfaces as SF
@@ -139,14 +141,62 @@ def test_symmetry_matrices_preserve_line_sets():
             assert sorted(perm.images) == list(range(27))
 
 
-def test_puncture_scan_s3c2_segment():
-    # DERIVED: the only real root of 4a^3+27 lies in [-3, 0]
-    expected = np.real_if_close(np.roots([4, 0, 0, 27]))
-    real_root = float(next(r.real for r in expected if abs(r.imag) < 1e-9))
-    cands = SF.puncture_scan(F.s3c2_family(), (-3.0, 0.0), samples=30, seed=3)
-    assert len(cands) == 1
-    assert abs(cands[0] - real_root) < 1e-10
+def _plane(terms):
+    c = np.zeros(10, dtype=complex)
+    for e, v in terms.items():
+        c[FX.SPACE3.index[e]] = v
+    return c
 
 
-def test_puncture_scan_constant_path_finds_nothing():
-    assert SF.puncture_scan(F.s3c2_family(), (1.0, 1.0), samples=5, seed=5) == []
+def _s3_sextic_roots(point, direction):
+    # DERIVED: S3 (a, b) is singular where (a^3 - b^3)^2 + 54 (a^3 + b^3) + 729 = 0
+    a = np.polynomial.Polynomial([point[0], direction[0]])
+    b = np.polynomial.Polynomial([point[1], direction[1]])
+    return ((a**3 - b**3)**2 + 54 * (a**3 + b**3) + 729).roots()
+
+
+_RNG = np.random.default_rng(11)
+_S3_LINE = (M.default_basepoint("S3"), np.array([0.3 - 0.7j, 1.1 + 0.2j]))
+_HESSE_LINE = (_plane({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}), _plane({(1, 1, 1): -3}))
+
+
+@pytest.mark.parametrize("family, point, direction, roots, nodes", [
+    # S4 on its parameter line: the nodal member 0 and the 4-nodal Cayley cubic -1/2
+    (F.s4_family(), [0j], [1.0], [-0.5, 0], [4, 1]),
+    # S3xC2: the roots of 4a^3 + 27, three nodes each
+    (F.s3c2_family(), [0j], [1.0], np.roots([4, 0, 0, 27]), [3] * 3),
+    # S3 on a line through its basepoint: the six roots of its sextic
+    (F.s3_family(), *_S3_LINE, _s3_sextic_roots(*_S3_LINE), [3] * 6),
+    # the Hesse pencil x^3 + y^3 + z^3 - 3k xyz: k^3 = 1, triangles of lines
+    (FX.flexp9_family(), *_HESSE_LINE, np.roots([1, 0, 0, -1]), [3] * 3),
+    # random pencils meet the discriminant (degrees 12 and 32) in simple nodes
+    (FX.flexp9_family(), _RNG.normal(size=10) + 1j * _RNG.normal(size=10),
+     _RNG.normal(size=10) + 1j * _RNG.normal(size=10), None, [1] * 12),
+    (F.generic20_family(), _RNG.normal(size=20) + 1j * _RNG.normal(size=20),
+     _RNG.normal(size=20) + 1j * _RNG.normal(size=20), None, [1] * 32),
+], ids=["S4", "S3xC2", "S3", "Hesse", "plane", "surface"])
+def test_singular_members(family, point, direction, roots, nodes):
+    members = SF.singular_members(family, point, direction)
+    assert len(members) == len(nodes)
+    if roots is None:
+        assert [n for _, n in members] == nodes
+        return
+    found = dict(members)
+    for root, n in zip(roots, nodes):
+        s = min(found, key=lambda s: abs(s - root))
+        assert abs(s - root) < 1e-10 * max(1.0, abs(root))
+        assert found.pop(s) == n
+
+
+def test_singular_members_rejects_a_constant_line():
+    with pytest.raises(ValueError):
+        SF.singular_members(F.s3c2_family(), [1.0], [0.0])
+
+
+@pytest.mark.parametrize("family", [F.s4_family(), F.s3c2_family()], ids=["S4", "S3xC2"])
+def test_known_punctures_are_the_singular_members(family):
+    point = M.default_basepoint(family.name)
+    members = [point[0] + s for s, _ in SF.singular_members(family, point, [1.0])]
+    assert len(members) == len(family.known_punctures)
+    for p in family.known_punctures:
+        assert min(abs(m - p) for m in members) < 1e-12
