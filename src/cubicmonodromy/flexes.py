@@ -3,12 +3,14 @@
 Flexes are the intersection of the curve with its Hessian; both are cubics
 in (x, y, z) with 10 coefficients in graded-lex order.  The flex chart
 system reads both from the third-derivative tensor A of the cubic: with
-M = A p, F = p M p / 6, grad F = M p / 2 and the Hessian is det M.  The
-start system is the Fermat member of the Hesse pencil, whose flexes are
-the nine base points of the pencil.  Monodromy loops run in the full 10-coefficient
-space and are expected to generate the affine special linear group
-ASL2(F3) of order 216, identified through the collinearity structure of
-the flexes (the Hesse configuration of 12 lines).
+M = A p, F = p M p / 6, grad F = M p / 2 and the Hessian is det M.  Each
+flex is tracked in its own affine chart, the chart of its largest
+coordinate once a parameter passes ``CHART_SWITCH``.  The start system is
+the Fermat member of the Hesse pencil, whose flexes are the nine base
+points of the pencil.  Monodromy loops run in the full 10-coefficient space
+and are expected to generate the affine special linear group ASL2(F3) of
+order 216, identified through the collinearity structure of the flexes
+(the Hesse configuration of 12 lines).
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ SPACE3 = form_space(3, 3)
 FLEX_RESIDUAL_TOL = 1e-10
 FLEX_DISTINCT_TOL = 1e-6
 COLLINEAR_TOL = 1e-8
+CHART_SWITCH = 2.0  # a flex with a larger |parameter| moves to the chart of its largest coordinate
+
+# chart c sets coordinate c to 1; its parameters are the free coordinates, in order
+FLEX_FREE = np.array([[1, 2], [0, 2], [0, 1]])
+# coordinate i of a point in chart c is slot _POINT_SLOTS[c, i] of (1, param0, param1)
+_POINT_SLOTS = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
+# J per chart: the gradients of F and of H (rows of 3) at the free coordinates
+_JAC_GATHER = 3 * np.arange(2)[:, None] + FLEX_FREE[:, None, :]  # [chart, row, col]
 
 
 class FlexError(RuntimeError):
@@ -149,20 +159,21 @@ class FlexSet:
 
 
 class FlexSystem(SegmentSystem):
-    """{F=0, det D^2 F=0} along c(t), at the points (u : v : 1).
+    """{F=0, det D^2 F=0} along c(t), each flex p in its own chart: a
+    ``linesolver.SheetState`` whose chart c sets p_c = 1 (``FLEX_FREE``).
 
-    With A the third-derivative tensor and M = A p its contraction with
-    the point, D^2 F = M, grad F = M p / 2 and F = p M p / 6; the t-
-    derivative takes the same contractions of dA/dt.
+    With A the third-derivative tensor and M = A p, D^2 F = M, grad F =
+    M p / 2, F = p M p / 6 and grad det M = (tr(adj(M) A_k))_k; J is both
+    gradients at the chart's free coordinates, and dR/dt the same
+    contractions of dA/dt.
     """
 
     space = SPACE3
 
-    def points(self, state: np.ndarray) -> np.ndarray:
-        p = np.empty(state.shape[:-1] + (3,), dtype=complex)
-        p[..., :2] = state
-        p[..., 2] = 1
-        return p
+    def points(self, state: ls.SheetState) -> np.ndarray:
+        ones = np.ones(state.params.shape[:-1] + (1,))
+        slots = np.concatenate([ones, state.params], axis=-1)  # (1, param0, param1)
+        return ls._chart_gather(state.charts, slots, _POINT_SLOTS)
 
     @staticmethod
     def _contract(a: np.ndarray, p: np.ndarray):
@@ -172,52 +183,51 @@ class FlexSystem(SegmentSystem):
         mp = np.einsum("...nij,...nj->...ni", m, p)
         return m, mp, np.einsum("...ni,...ni->...n", mp, p) / 6
 
-    def residual(self, state: np.ndarray, t) -> np.ndarray:
+    def residual(self, state: ls.SheetState, t) -> np.ndarray:
         m, _, f = self._contract(self.tensor(t), self.points(state))
         return np.stack([f, np.linalg.det(m)], axis=-1)
 
-    def res_jac_dt(self, state: np.ndarray, t, reads: str | None = None):
+    def res_jac_dt(self, state: ls.SheetState, t, reads: str | None = None):
         p = self.points(state)
-        if reads == "r":
-            a = self.tensor(t)
-        else:
-            a, rate = self.tensor(t, rate=True)
+        a, rate = (self.tensor(t), None) if reads == "r" else self.tensor(t, rate=True)
         m, mp, f = self._contract(a, p)
         adj = _adjugate3(m)
-        r = rt = None
-        if reads != "rt":
-            r = np.stack([f, np.linalg.det(m)], axis=-1)
-        j = np.empty(state.shape + (2,), dtype=complex)
-        j[..., 0, :] = mp[..., :2] / 2
-        # tr(adj a_k) per sheet, against a contiguous copy of a_k per sheet:
-        # bit for bit the one-lane einsum "nij,ji->n", which a view is not
-        a_k = np.empty((2,) + adj.shape, dtype=complex)
-        for k in range(2):
-            a_k[k] = a[..., None, :, :, k]
-            j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k[k])
-        if reads != "r":
-            # t-derivative: the same contractions of dA/dt
+        r = None if reads == "rt" else np.stack([f, np.linalg.det(m)], axis=-1)
+        # tr(adj A_k) for every k at once: A is symmetric in its first two slots
+        grad_h = adj.reshape(adj.shape[:-2] + (9,)) @ a.reshape(a.shape[:-3] + (9, 3))
+        j = ls._chart_gather(state.charts, np.stack([mp / 2, grad_h], axis=-2), _JAC_GATHER)
+        rt = None
+        if reads != "r":  # the same contractions of dA/dt
             mdot, _, fdot = self._contract(rate, p)
             rt = np.stack([fdot, np.einsum("...nij,...nji->...n", adj, mdot)], axis=-1)
         return r, j, rt
 
-    def update(self, state: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        return state + delta
+    def update(self, state: ls.SheetState, delta: np.ndarray) -> ls.SheetState:
+        return ls.SheetState(charts=state.charts, params=state.params + delta)
 
-    def scale(self, state: np.ndarray, t) -> np.ndarray:
+    def normalize(self, state: ls.SheetState) -> ls.SheetState:
+        return ls.switch_charts(state, CHART_SWITCH, lambda far: chart_state(self.points(far)))
+
+    def scale(self, state: ls.SheetState, t) -> np.ndarray:
         cnorm = np.abs(self.coeffs(t)).max(axis=-1)
         # per lane in scalar arithmetic, as one lane computes it: an array
         # power need not round like the scalar one
         top = np.array([max(c, (6 * c) ** 3) for c in cnorm.ravel()]).reshape(cnorm.shape)
-        nrm = 1.0 + np.abs(state).max(axis=-1)
-        return top[..., None] * nrm**3
+        return top[..., None] * self.param_scale(state)**3
 
-    def param_scale(self, state: np.ndarray) -> np.ndarray:
-        return 1.0 + np.abs(state).max(axis=-1)
+    def param_scale(self, state: ls.SheetState) -> np.ndarray:
+        return 1.0 + np.abs(state.params).max(axis=-1)
 
-    def collision_gap(self, state: np.ndarray):
+    def collision_gap(self, state: ls.SheetState):
         pts = self.points(state)
         return ls.min_pairwise_distance(pts / np.linalg.norm(pts, axis=-1, keepdims=True))
+
+
+def chart_state(points: np.ndarray) -> ls.SheetState:
+    """Each point of shape (n, 3) in the chart of its largest coordinate,
+    where its parameters are at most 1 in modulus."""
+    charts, rows = np.abs(points).argmax(axis=-1), np.arange(len(points))[:, None]
+    return ls.SheetState(charts, points[rows, FLEX_FREE[charts]] / points[rows, charts[:, None]])
 
 
 def _adjugate_tables():
@@ -238,12 +248,6 @@ def _adjugate3(m: np.ndarray) -> np.ndarray:
     g = m[..., _ADJ_ROWS, _ADJ_COLS]  # (..., 4, 3, 3)
     minor = g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
     return np.ascontiguousarray(_ADJ_SIGN * minor)
-
-
-def _state_from_points(points: np.ndarray) -> np.ndarray:
-    if (np.abs(points[:, 2]) < 1e-9).any():
-        raise FlexError("a flex sits at the frame's line at infinity")
-    return points[:, :2] / points[:, 2:3]
 
 
 def _certify(form: PlaneCubicForm, points: np.ndarray) -> np.ndarray:
@@ -267,14 +271,9 @@ def solve_flexes(form: PlaneCubicForm, seed: int = 0, attempts: int = 4) -> Flex
         frame = random_unitary(3, rng)
         c_from = gamma * SPACE3.compose_matrix(start_form.coefficients, frame)
         c_to = SPACE3.compose_matrix(form.coefficients, frame)
-        try:
-            state = _state_from_points(start_points @ np.linalg.inv(frame).T)
-        except FlexError as exc:
-            last = exc
-            continue
         system = FlexSystem(c_from, c_to)
         try:
-            state, _ = track_segment(system, state,
+            state, _ = track_segment(system, chart_state(start_points @ np.linalg.inv(frame).T),
                                      TrackOptions(collision_tol=FLEX_DISTINCT_TOL))
         except (PathTrackingError, SheetCollisionError, np.linalg.LinAlgError) as exc:
             last = exc
@@ -399,34 +398,25 @@ def flexp9_family():
     )
 
 
-def flex_loop_run(loop, base: FlexSet, frame_seed: int = 0) -> LoopRun:
-    """Continue the nine flexes around a loop in coefficient space.
-
-    The whole loop is tracked in one random unitary frame (composition
-    with the frame is linear on coefficients, so segments stay segments),
-    leg by leg as a line loop is.
+def flex_loop_run(loop, base: FlexSet) -> LoopRun:
+    """Continue the nine flexes around a loop in coefficient space, each in
+    its own chart (:class:`FlexSystem`), leg by leg as a line loop is.
     Its permutation is a tracker.TrackedPermutation of degree 9.
     """
-    rng = np.random.default_rng(frame_seed)
-    frame = random_unitary(3, rng)
-    frame_inv = np.linalg.inv(frame)
-    state = _state_from_points(base.points @ frame_inv.T)
-    coeffs = [SPACE3.compose_matrix(loop.family.raw_coeffs(w), frame)
-              for w in loop.waypoints]
+    coeffs = [loop.family.raw_coeffs(w) for w in loop.waypoints]
     systems = leg_systems(FlexSystem, loop, coeffs)
 
     def finish(state, telemetry) -> TrackedPermutation:
-        end_pts = np.array([normalize_point(p)
-                            for p in (systems[-1].points(state) @ frame.T)])
+        end_pts = systems[-1].points(state)
         u_end = end_pts / np.linalg.norm(end_pts, axis=1, keepdims=True)
         u_base = base.points / np.linalg.norm(base.points, axis=1, keepdims=True)
         matching = ls.match_lines(u_end, u_base)
         return TrackedPermutation.from_telemetry(
             Permutation(matching), ls.min_pairwise_distance(u_end), loop, telemetry)
 
-    return LoopRun(systems, state, finish)
+    return LoopRun(systems, chart_state(base.points), finish)
 
 
-def track_flex_loop(loop, base: FlexSet, frame_seed: int = 0) -> TrackedPermutation:
+def track_flex_loop(loop, base: FlexSet) -> TrackedPermutation:
     """Track one flex loop alone: see :func:`flex_loop_run`."""
-    return flex_loop_run(loop, base, frame_seed).track()
+    return flex_loop_run(loop, base).track()

@@ -54,6 +54,9 @@ _R_WEIGHT = np.array([1 / 6, 1 / 2, 1 / 2, 1 / 6])
 _J_WEIGHT = np.array([1 / 2, 1.0, 1.0, 1 / 2])[:, None]
 _J_PAIR = np.array([[0, 4, 0, 4], [1, 0, 1, 0], [3, 1, 3, 1], [4, 3, 4, 3]])
 _J_DEP = np.array([0, 0, 1, 1])
+# the polar values that J reads, per chart: pair p at dependent coordinate
+# k, as flat offsets into a sheet's polars of one tensor (width 4) or two (8)
+_DEP_GATHER = {w: w * np.arange(4)[:, None] + CHART_DEP[:, None, :] for w in (4, 8)}
 
 # Plucker coordinate order: (01, 02, 03, 12, 13, 23)
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -275,15 +278,21 @@ def _fermat_start_bases() -> np.ndarray:
 
 @dataclass
 class SheetState:
-    """Charts and chart parameters of the sheets, with optional leading lane axes."""
+    """Charts and chart parameters of line or flex sheets, with optional leading lane axes."""
 
     charts: np.ndarray  # (..., n) int
-    params: np.ndarray  # (..., n, 4) complex
+    params: np.ndarray  # (..., n, k) complex
 
     def __getitem__(self, index) -> "SheetState":
         """The entries of the leading axis that ``index`` selects: lanes of a
         stacked state, or sheets of one lane."""
         return SheetState(charts=self.charts[index], params=self.params[index])
+
+    @staticmethod
+    def stack(states: list["SheetState"]) -> "SheetState":
+        """One-lane states stacked along a leading lane axis."""
+        return SheetState(charts=np.array([s.charts for s in states]),
+                          params=np.array([s.params for s in states]))
 
 
 def best_charts(bases: np.ndarray) -> SheetState:
@@ -310,17 +319,30 @@ def best_charts(bases: np.ndarray) -> SheetState:
     return SheetState(charts=charts, params=params[np.arange(len(bases)), charts])
 
 
+def switch_charts(state: SheetState, limit: float, pick) -> SheetState:
+    """One lane's ``state``, each sheet whose largest |parameter| exceeds
+    ``limit`` moved to its state in ``pick(state of those sheets)``."""
+    far = np.abs(state.params).max(axis=1) > limit
+    if not far.any():
+        return state
+    picked = pick(state[far])
+    charts, params = state.charts.copy(), state.params.copy()
+    charts[far], params[far] = picked.charts, picked.params
+    return SheetState(charts=charts, params=params)
+
+
 def _chart_gather(charts: np.ndarray, blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Each sheet's block of ``blocks`` (one block per sheet, in C order)
-    gathered by the per-chart ``table`` of the sheet's chart."""
-    index = np.take(table, charts, axis=0) + _block_offsets(charts.shape, table[0].size)
+    gathered at the flat offsets into it that ``table`` lists for its chart."""
+    shape = charts.shape + (1,) * (table.ndim - 1)
+    index = np.take(table, charts, axis=0) + _block_offsets(shape, blocks.size // charts.size)
     return blocks.reshape(-1)[index]
 
 
 @lru_cache(maxsize=None)
 def _block_offsets(shape: tuple[int, ...], block: int) -> np.ndarray:
-    """Flat offsets of one block of ``block`` values per sheet, shape + (1, 1)."""
-    offsets = block * np.arange(math.prod(shape)).reshape(shape + (1, 1))
+    """Flat offsets of one block of ``block`` values per sheet, in ``shape``."""
+    offsets = block * np.arange(math.prod(shape)).reshape(shape)
     offsets.setflags(write=False)  # shared by every call with this shape
     return offsets
 
@@ -353,11 +375,6 @@ class LineSystem(SegmentSystem):
 
     space = SPACE
 
-    @staticmethod
-    def stack_states(states: list[SheetState]) -> SheetState:
-        return SheetState(charts=np.array([s.charts for s in states]),
-                          params=np.array([s.params for s in states]))
-
     def _polars(self, state: SheetState, tensors: np.ndarray):
         """Every sheet's spanning rows, shape (..., n, 2, 4), and its polar
         vectors A(v_p, v_q, .) of the four pairs, shape (..., n, 4, 4 k),
@@ -388,7 +405,7 @@ class LineSystem(SegmentSystem):
         now = polars[..., :4]
         r = None if reads == "rt" else self._binary(basis, now)
         rt = None if reads == "r" else self._binary(basis, polars[..., 4:])
-        dep = np.take_along_axis(now, CHART_DEP[state.charts][..., None, :], axis=-1)
+        dep = _chart_gather(state.charts, polars, _DEP_GATHER[polars.shape[-1]])
         cols = np.zeros(dep.shape[:-2] + (5, 2), dtype=complex)
         np.multiply(dep, _J_WEIGHT, out=cols[..., :4, :])
         return r, cols[..., _J_PAIR, _J_DEP], rt
@@ -397,13 +414,7 @@ class LineSystem(SegmentSystem):
         return SheetState(charts=state.charts, params=state.params + delta)
 
     def normalize(self, state: SheetState) -> SheetState:
-        far = np.abs(state.params).max(axis=1) > 8.0
-        if not far.any():
-            return state
-        picked = best_charts(sheet_bases(state[far]))
-        charts, params = state.charts.copy(), state.params.copy()
-        charts[far], params[far] = picked.charts, picked.params
-        return SheetState(charts=charts, params=params)
+        return switch_charts(state, 8.0, lambda far: best_charts(sheet_bases(far)))
 
     def scale(self, state: SheetState, t) -> np.ndarray:
         cnorm = np.abs(self.coeffs(t)).max(axis=-1)

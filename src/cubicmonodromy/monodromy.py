@@ -21,6 +21,7 @@ W(E6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -205,16 +206,12 @@ def run_campaign(c: Campaign) -> MonodromyReport:
         fx.check_hesse_configuration(hesse_triples)
         labeling = None
         seed_step = 99991
-
-        def track(loop, seed):
-            return fx.flex_loop_run(loop, base, frame_seed=seed)
+        track = partial(fx.flex_loop_run, base=base)
     else:
         base = ls.solve_lines(form, seed=c.seed)
         labeling = schlafli.label_lines(ls.incidence_graph(base.lines))
         seed_step = 100003
-
-        def track(loop, seed):
-            return tracker.loop_run(loop, base, labeling)
+        track = partial(tracker.loop_run, base=base, labeling=labeling)
 
     deck_group = None
     deck_perms: list[Permutation] = []
@@ -247,7 +244,7 @@ def run_campaign(c: Campaign) -> MonodromyReport:
                 loop = tracker.random_polygon_loop(c.family, c.basepoint, seed=seed)
             else:
                 loop = tracker.random_lasso_loop(c.family, c.basepoint, seed=seed)
-            yield (f"{loop.kind}:{seed}", (lambda l=loop, s=seed: track(l, s)))
+            yield (f"{loop.kind}:{seed}", (lambda l=loop: track(l)))
             k += 1
 
     def check(perm: Permutation) -> None:

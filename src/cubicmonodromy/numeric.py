@@ -295,8 +295,9 @@ class SegmentSystem:
     every field named in ``LANE_FIELDS``, padding each lane's segments to
     the longest (a padded knot is +inf, so no t finds it), and ``take``
     keeps some of its lanes.  Every lane finds its own segment at its own
-    t by one vectorized knot lookup.  Its state (``stack_states``; indexing
-    a stacked state keeps lanes too), its t and every per-sheet result
+    t by one vectorized knot lookup.  Its state (``stack_states``, by the
+    state type's ``stack``; indexing a stacked state keeps lanes too), its
+    t and every per-sheet result
     carry the same axis, and lane l computes bit for bit what the l-th
     system computes alone.  ``length``, ``window`` and ``normalize`` are
     one-lane calls.
@@ -369,7 +370,7 @@ class SegmentSystem:
 
     @staticmethod
     def stack_states(states: list) -> object:
-        return np.array(states)
+        return type(states[0]).stack(states)
 
     def _at(self, t, name: str) -> np.ndarray:
         """For a system with a lane of several segments: field ``name``

@@ -192,3 +192,28 @@ def test_adjugate_matches_cofactors():
     assert np.array_equal(adj, ref)
     det = np.linalg.det(m)[:, None, None]
     assert np.abs(adj @ m - det * np.eye(3)).max() < 1e-12 * np.abs(m).max() ** 3
+
+
+def test_normalize_moves_only_far_sheets_and_keeps_their_points():
+    # sheets in all three charts, some with a parameter past CHART_SWITCH:
+    # those move to the chart of their largest coordinate, where every
+    # parameter is at most 1; the others keep their chart and parameters
+    rng = np.random.default_rng(7)
+    system = FX.FlexSystem(*(rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))))
+    params = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    params /= np.abs(params).max(axis=1, keepdims=True)
+    params *= np.array([40.0, 1.5, 2.5, 0.3, 1.0, 8.0, 2.0, 100.0, 0.9])[:, None]
+    state = ls.SheetState(charts=rng.permutation(np.arange(9) % 3), params=params)
+    before = (state.charts.copy(), state.params.copy())
+    far = np.abs(params).max(axis=1) > FX.CHART_SWITCH
+    assert far.tolist() == [True, False, True, False, False, True, False, True, False]
+    out = system.normalize(state)
+    assert np.array_equal(state.charts, before[0]) and np.array_equal(state.params, before[1])
+    assert np.array_equal(out.charts[~far], state.charts[~far])
+    assert out.params[~far].tobytes() == state.params[~far].tobytes()
+    assert (out.charts[far] != state.charts[far]).all()
+    assert np.abs(out.params[far]).max() <= 1
+    p, q = system.points(state), system.points(out)
+    cross = np.abs(np.cross(p, q)).max(axis=1)
+    assert (cross <= 1e-15 * np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)).all()
+    assert system.normalize(out) is out

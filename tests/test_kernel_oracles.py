@@ -188,8 +188,17 @@ def _certify_lines_oracle(form, lines, rng):
     return worst
 
 
+def _flex_points_oracle(state):
+    """Each sheet's point: 1 at its chart's coordinate, its parameters in order at the others."""
+    p = np.ones(state.params.shape[:-1] + (3,), dtype=complex)
+    for index in np.ndindex(state.charts.shape):
+        p[index + (FX.FLEX_FREE[state.charts[index]],)] = state.params[index]
+    return p
+
+
 def _flex_res_jac_dt_oracle(system, state, t, reads=None):
-    p = np.concatenate([state, np.ones(state.shape[:-1] + (1,))], axis=-1)
+    p = _flex_points_oracle(state)
+    free = FX.FLEX_FREE[state.charts]
     coeffs = system.coeffs(t)
     a = system.tensor(t)
     mono, gmono = _monomial_tables_oracle(FX.SPACE3, p)
@@ -198,12 +207,14 @@ def _flex_res_jac_dt_oracle(system, state, t, reads=None):
     r = rt = None
     if reads != "rt":
         r = np.stack([_matvec(mono, coeffs), np.linalg.det(m)], axis=-1)
-    j = np.empty(state.shape + (2,), dtype=complex)
+    grad = np.empty(state.params.shape[:-1] + (2, 3), dtype=complex)
     grad_ops = _gradient_ops(FX.SPACE3)
-    for k in range(2):
-        j[..., 0, k] = _matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
+    for k in range(3):
+        grad[..., 0, k] = _matvec(gmono, (grad_ops[k] @ coeffs[..., None])[..., 0])
         a_k = np.ascontiguousarray(np.broadcast_to(a[..., None, :, :, k], adj.shape))
-        j[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k)
+        grad[..., 1, k] = np.einsum("...nij,...nji->...n", adj, a_k)
+    # J: both gradients at each sheet's free coordinates
+    j = np.take_along_axis(grad, free[..., None, :], axis=-1)
     if reads != "r":
         a_diff = system.a_knots[..., 1, :, :, :] - system.a_knots[..., 0, :, :, :]
         mdot = np.einsum("...ijk,...nk->...nij", a_diff, p)
@@ -290,12 +301,15 @@ def test_line_res_jac_dt_matches_the_oracle(reads, lanes, seed):
 
 
 def _flex_lanes(rng, lanes):
+    """A FlexSystem and state with the given lane axes, and a matching t;
+    every lane has sheets in all three charts, in its own order."""
     count = int(np.prod(lanes, dtype=int))
     systems, states = [], []
     for _ in range(max(count, 1)):
         systems.append(FX.FlexSystem(_with_zeros(rng, _complex(rng, 10)),
                                      _with_zeros(rng, _complex(rng, 10))))
-        states.append(_with_zeros(rng, _complex(rng, (9, 2)), share=0.3))
+        states.append(L.SheetState(charts=rng.permutation(np.arange(9) % 3),
+                                   params=_with_zeros(rng, _complex(rng, (9, 2)), share=0.3)))
     if not lanes:
         return systems[0], states[0], float(rng.uniform())
     t = rng.uniform(size=count)
@@ -308,6 +322,7 @@ def _flex_lanes(rng, lanes):
 @pytest.mark.parametrize("seed", range(3))
 def test_flex_res_jac_dt_matches_the_oracle(reads, lanes, seed):
     system, state, t = _flex_lanes(np.random.default_rng(seed), lanes)
+    assert_same_bits(system.points(state), _flex_points_oracle(state))
     out = system.res_jac_dt(state, t, reads=reads)
     ref = _flex_res_jac_dt_oracle(system, state, t, reads=reads)
     for a, b in zip(out, ref):
@@ -343,8 +358,8 @@ def test_line_residual_is_the_restricted_cubic(lanes, seed):
 @pytest.mark.parametrize("lanes", [(), (1,), (4,)], ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_flex_residual_is_the_cubic_and_its_hessian(lanes, seed):
-    # R = (F, det D^2 F) at (u : v : 1), from PlaneCubicForm.evaluate and
-    # the coefficients of the Hessian
+    # R = (F, det D^2 F) at each sheet's point in its chart, from
+    # PlaneCubicForm.evaluate and the coefficients of the Hessian
     system, state, t = _flex_lanes(np.random.default_rng(seed), lanes)
     r = system.res_jac_dt(state, t)[0].reshape(-1, 9, 2)
     coeffs = np.atleast_2d(system.coeffs(t))

@@ -138,6 +138,17 @@ def test_report_json_carries_the_hesse_triples(claim_results):
     assert all(r["hesse_triples"] is None for key, r in reports.items() if key != "FlexP9")
 
 
+def test_flex_campaign_takes_few_rounds_and_rejections(claim_results):
+    # each flex in its own best chart: at seed 0 the campaign took 78 rounds
+    # and 0.23 rejections per step, against 163 and 0.42 with every flex in
+    # one affine chart of a random frame
+    report = claim_results["reports"]["FlexP9"]
+    steps = sum(t["steps"] for t in report["tracked"])
+    rejected = sum(t["rejected"] for t in report["tracked"])
+    assert report["rounds"] <= 100
+    assert rejected <= 0.3 * steps
+
+
 def test_generic20_basepoint_independence():
     # Cor. on open restrictions: campaigns at two basepoints agree up to
     # conjugacy in W(E6) (here: both reach the full group, so they are equal)

@@ -231,7 +231,7 @@ def test_an_arc_leg_gives_the_permutation_of_its_segments(seed):
     form = FX.PlaneCubicForm(rng.normal(size=10) + 1j * rng.normal(size=10))
     flex = FX.flexp9_family()
     lasso = T.random_lasso_loop(flex, form.coefficients, seed)
-    runs.append((FX.track_flex_loop, lasso, (FX.solve_flexes(form, seed=seed), seed)))
+    runs.append((FX.track_flex_loop, lasso, (FX.solve_flexes(form, seed=seed),)))
     assert [loop.legs for _, loop, _ in runs] == [(1, 64, 1)] * 2 + [(1, 24, 1)] * 2
     for track, loop, args in runs:
         arc, chords = track(loop, *args), track(dataclasses.replace(loop, legs=()), *args)
@@ -286,7 +286,8 @@ def _line_system_and_state(rng, segments=1):
 
 def _flex_system_and_state(rng, segments=1):
     points = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(segments + 1)]
-    state = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    state = L.SheetState(charts=rng.permutation(np.arange(9) % 3),
+                         params=rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))
     return FX.FlexSystem(*points), state
 
 
@@ -412,21 +413,33 @@ def _flex_runs(flex_base, seeds):
     fam, bp, base = flex_base
     loops = [(T.random_polygon_loop if s % 2 else T.random_lasso_loop)(fam, bp, seed=s)
              for s in seeds]
-    return [FX.flex_loop_run(loop, base, frame_seed=s) for loop, s in zip(loops, seeds)]
+    return [FX.flex_loop_run(loop, base) for loop in loops]
+
+
+def _in_second_charts(run, base):
+    """``run`` started with each flex in the chart of its second largest
+    coordinate, not of its largest: a lane whose charts differ from a
+    plain run's, some of whose sheets move at the first step."""
+    rows = np.arange(len(base.points))[:, None]
+    charts = np.argsort(np.abs(base.points), axis=1)[:, 1]
+    params = base.points[rows, FX.FLEX_FREE[charts]] / base.points[rows, charts[:, None]]
+    assert (np.abs(params).max(axis=1) > FX.CHART_SWITCH).any()
+    return T.LoopRun(run.systems, L.SheetState(charts=charts, params=params), run.finish)
 
 
 def test_flex_loops_in_one_batch_match_each_loop_alone(flex_base):
     seeds = list(range(31, 43))  # 12 flex loops: the 108 sheets of a batch
     runs = _flex_runs(flex_base, seeds)
     together = _track_together(runs)
-    for tp, s in zip(together, seeds):
-        ref = FX.track_flex_loop(tp.loop, flex_base[2], frame_seed=s)
+    for tp in together:
+        ref = FX.track_flex_loop(tp.loop, flex_base[2])
         assert _outcome(tp) == _outcome(ref)
         assert (tp.perm, tp.steps, tp.rejected) == (ref.perm, ref.steps, ref.rejected)
 
 
 def test_a_failing_lane_fails_alone(flex_base):
     good = _flex_runs(flex_base, [41, 42, 43])
+    good[2] = _in_second_charts(good[2], flex_base[2])
     # a segment from the zero cubic: the Jacobian at t=0 is singular, so each
     # attempt of that lane is rejected (LinAlgError from the stacked solve)
     # until the step underflows
@@ -434,8 +447,8 @@ def test_a_failing_lane_fails_alone(flex_base):
     singular = T.LoopRun([FX.FlexSystem(zero, good[0].systems[0].c_knots[-1])], good[0].state,
                          good[0].finish)
     # two equal sheets collide at the first accepted step
-    twin = good[1].state.copy()
-    twin[1] = twin[0]
+    twin = L.SheetState(charts=good[1].state.charts.copy(), params=good[1].state.params.copy())
+    twin.charts[1], twin.params[1] = twin.charts[0], twin.params[0]
     collide = T.LoopRun(good[1].systems, twin, good[1].finish)
     runs = [good[0], singular, good[1], collide, good[2]]
     alone = [_outcome(_alone(run)) for run in runs]
@@ -523,6 +536,7 @@ def test_a_poorly_contracting_lane_is_rejected_alone(monkeypatch, flex_base):
     # above the noise rejects the step at the second Newton iteration,
     # without waiting for the last; the other lanes step as they do alone
     runs = _flex_runs(flex_base, [61, 62, 63])
+    runs[2] = _in_second_charts(runs[2], flex_base[2])
     plain = [run.path() for run in runs]
     N.step_paths(plain)
     monkeypatch.setattr(_Sluggish, "newton", [])
@@ -534,7 +548,8 @@ def test_a_poorly_contracting_lane_is_rejected_alone(monkeypatch, flex_base):
     assert _Sluggish.newton[:2] == [True, True] and not any(_Sluggish.newton[2:])
     for p, q in zip(paths[::2], plain[::2]):
         assert (p.t, p.telemetry.steps, p.telemetry.rejected) == (q.t, 1, 0)
-        assert p.state.tobytes() == q.state.tobytes()
+        assert p.state.charts.tobytes() == q.state.charts.tobytes()
+        assert p.state.params.tobytes() == q.state.params.tobytes()
 
 
 @pytest.mark.parametrize("offset,polished", [(1e-11, True), (1e-9, False)])
@@ -547,11 +562,11 @@ def test_the_polish_accepts_a_stalled_correction_at_the_noise_floor(monkeypatch,
     # 1e-9 the residual stays above ten times CORRECTOR_TOL, and it fails.
     _, bp, base = flex_base
     plain = FX.FlexSystem(bp, bp)
-    state = FX._state_from_points(base.points)
+    state = FX.chart_state(base.points)
     rng = np.random.default_rng(0)
     scale = offset * plain.param_scale(state)[:, None]
-    moved = plain.update(state, scale * (rng.normal(size=state.shape)
-                                         + 1j * rng.normal(size=state.shape)))
+    shape = state.params.shape
+    moved = plain.update(state, scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
 
     def polish():
         path = N.Path([_Sluggish(plain, 5.0)], moved)
